@@ -1,21 +1,29 @@
-"""Vectorized grouped aggregation — map-side combiner + coarse-bucket
-final merge.
+"""Keyed grouping on one exchange, and the aggregates built on it.
 
-``Dataset.groupby(keys).aggregate(...)`` pays ~1 ms of per-group
-dispatch in its sort-based reduce; with thousands of groups that
-dominates the query (measured 3.4s for a 3.6k-group count/sum over
-100k rows, vs 1.6s with this operator; pair-dedup showed 34s → 6s).
+The library's hand-rolled keyed grouping runs on ONE exchange,
+:func:`bucketed_apply` (joins and native ``Dataset.groupby`` calls
+aside): rows are shuffled ONCE on a coarse element-pure hash bucket of
+the key (ops/hashing.py; all rows of a key meet in one bucket), and a
+FOLD runs once per whole bucket as a pandas frame. What differs
+between operators is only the fold:
 
-This operator is the textbook shuffle-minimizing shape:
+- :func:`grouped_agg` — one vectorized pandas ``groupby(...).agg`` that
+  merges map-side partials;
+- :func:`bucketed_map_groups` — a per-group loop calling a Python
+  ``fn`` (~50 µs/group);
+- callers' own frame-level folds (pair dedup, hot-gram filter,
+  paragraph winners, ragged-range pair emission).
 
-1. **partial** (map_batches): one vectorized pandas groupby per block
-   collapses the block to ≤ |groups| partial rows — the combiner; the
-   shuffle then moves partials, not rows.
-2. **bucket** (map_batches): element-pure hash (ops/hashing.py) of the
-   group key into ``num_buckets`` coarse buckets.
-3. **final** (groupby(bucket).map_groups): ONE vectorized pandas
-   groupby-agg per bucket — per-group cost amortized over thousands of
-   groups in the bucket.
+``Dataset.groupby(keys).aggregate(...)`` and ``map_groups`` pay ~1 ms
+of per-group dispatch in their sort-based reduce; with thousands of
+groups that dominates the query (measured 3.4s for a 3.6k-group
+count/sum over 100k rows, vs 1.6s with ``grouped_agg``; pair-dedup
+showed 34s → 6s).
+
+``grouped_agg`` is the textbook shuffle-minimizing shape: a **partial**
+map_batches runs one vectorized groupby per block (the combiner — the
+exchange then moves ≤ |groups| partial rows per block, not rows), and
+the **final** fold merges the partials of each bucket.
 
 Exactness: count/min/max are exact; sum is exact for ints (use
 floor-cents / micro-int columns for money — the repo-wide oracle
@@ -119,24 +127,46 @@ def global_agg(ds, specs: dict[str, tuple[str | None, str]]) -> dict:
     return result
 
 
-def bucketed_map_groups(ds, keys: list[str], fn, num_buckets: int = 32):
-    """``groupby(keys).map_groups(fn)`` with the per-group dispatch cost
-    amortized: rows are shuffled ONCE on a coarse element-pure hash
-    bucket of the key (all rows of a key land in one bucket), and
-    inside each bucket a pandas ``groupby(keys, sort=...).apply``-style
-    loop calls ``fn`` per true group at ~50 µs/group instead of Ray's
-    ~1 ms/group. Semantics identical to map_groups for a pure ``fn``:
-    each call sees ALL rows of exactly one key.
-
-    Use when group count is large (users, buckets, pairs); plain
-    map_groups is fine for few groups."""
+def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Combined element-pure uint64 hash of the ``keys`` columns
+    (ops/hashing.py per column, FNV-style fold across columns): the
+    same key tuple hashes the same in every batch and process, and a
+    null hashes to a fixed sentinel, so a null key is one group."""
     from ocr_service_ray.ops.hashing import hash_column
 
+    h = hash_column(t[keys[0]])
+    for k in keys[1:]:
+        with np.errstate(over="ignore"):
+            h = h * np.uint64(0x100000001B3) ^ hash_column(t[k])
+    return h
+
+
+def bucketed_apply(ds, keys: list[str], fold, num_buckets: int = 32):
+    """THE keyed exchange: shuffle rows once on ``_key_hash(keys) %
+    num_buckets`` (all rows of a key land in exactly one bucket), then
+    run ``fold`` once on each WHOLE bucket as a pandas frame. The
+    library's hand-rolled keyed grouping goes through here —
+    ``grouped_agg``'s final merge, ``bucketed_map_groups``' per-group
+    loop, pair dedup, the hot-gram filter — so its bucket hash, null
+    grouping and empty-output rules are written once. Ray's native
+    ``groupby(keys)`` pays ~1 ms of dispatch per GROUP; here the
+    per-group cost is whatever the fold makes it (a vectorized
+    ``groupby(...).agg``, sort + ``drop_duplicates`` or merge has none
+    at all).
+
+    Fold contract:
+
+    - it sees all rows of each key in the bucket, and nothing else;
+      it must not depend on WHICH keys share a bucket (the bucket
+      count is a tuning knob, not a semantic);
+    - a null key is a real key — group inside the fold with
+      ``dropna=False``;
+    - returning ``None`` emits nothing for the bucket; a 0-row frame
+      WITH columns is emitted as is, so its block still carries the
+      schema (zero-column blocks are what ``hash_join`` rejects)."""
+
     def add_bucket(b: pa.Table) -> pa.Table:
-        h = hash_column(b[keys[0]])
-        for k in keys[1:]:
-            with np.errstate(over="ignore"):
-                h = h * np.uint64(0x100000001B3) ^ hash_column(b[k])
+        h = _key_hash(b, keys)
         # strip pandas schema metadata (a dict) — Ray's shuffle reduce
         # hashes schemas for dedup and warns on unhashable metadata
         return b.replace_schema_metadata(None).append_column(
@@ -144,54 +174,8 @@ def bucketed_map_groups(ds, keys: list[str], fn, num_buckets: int = 32):
         )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_bucket"])
-        # dropna=False: a null key is a real group (its rows all hash
-        # to the null sentinel). fn may return None to emit nothing
-        # for a group; a bucket where EVERY group did so yields an
-        # empty 0-column frame (concat of nothing raises).
-        outs = [fn(grp) for _, grp in g.groupby(keys, sort=False, dropna=False)]
-        outs = [o for o in outs if o is not None]
-        if not outs:
-            return pd.DataFrame()
-        return pd.concat(outs, ignore_index=True)
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
-
-
-def bucketed_apply(ds, keys: list[str], bucket_fn, num_buckets: int = 32):
-    """The VECTORIZED sibling of :func:`bucketed_map_groups`: one
-    coarse element-pure key-hash bucket shuffle (all rows of a key
-    land in exactly one bucket), then ``bucket_fn`` runs once on each
-    WHOLE bucket as a pandas frame. For per-key folds expressible as
-    frame-level kernels (``groupby(...).agg``, sort +
-    ``drop_duplicates``, merges) this removes the per-group Python
-    dispatch entirely — at 10^5-10^6 groups the per-group-callable
-    form spends its wall time in ~50 µs/group interpreter overhead,
-    not in the fold.
-
-    Contract: ``bucket_fn`` sees all rows of each contained key and
-    nothing else, and must not depend on WHICH keys share a bucket
-    (same purity rule as map_groups). May return None/empty to emit
-    nothing for a bucket."""
-    from ocr_service_ray.ops.hashing import hash_column
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        h = hash_column(b[keys[0]])
-        for k in keys[1:]:
-            with np.errstate(over="ignore"):
-                h = h * np.uint64(0x100000001B3) ^ hash_column(b[k])
-        # metadata stripped: see bucketed_map_groups.add_bucket
-        return b.replace_schema_metadata(None).append_column(
-            "_bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        )
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = bucket_fn(g.drop(columns=["_bucket"]))
-        if out is None or not len(out):
+        out = fold(g.drop(columns=["_bucket"]))
+        if out is None:
             return pd.DataFrame()
         return out.reset_index(drop=True)
 
@@ -200,6 +184,25 @@ def bucketed_apply(ds, keys: list[str], bucket_fn, num_buckets: int = 32):
         .groupby("_bucket")
         .map_groups(per_bucket, batch_format="pandas")
     )
+
+
+def bucketed_map_groups(ds, keys: list[str], fn):
+    """``groupby(keys).map_groups(fn)`` on the one keyed exchange: the
+    fold handed to :func:`bucketed_apply` loops over the bucket's true
+    groups (pandas ``groupby(keys, dropna=False)``) and calls ``fn``
+    on each — ~50 µs/group instead of Ray's ~1 ms. Same semantics as
+    map_groups for a pure ``fn``: each call sees ALL rows of exactly
+    one key. ``fn`` may return None to emit nothing for its group.
+
+    Use when the per-key logic is not a frame-level kernel; when it
+    is, pass it to ``bucketed_apply`` directly."""
+
+    def per_group(g: pd.DataFrame) -> pd.DataFrame | None:
+        outs = [fn(grp) for _, grp in g.groupby(keys, sort=False, dropna=False)]
+        outs = [o for o in outs if o is not None]
+        return pd.concat(outs, ignore_index=True) if outs else None
+
+    return bucketed_apply(ds, keys, per_group)
 
 
 def emit_group_pairs(
@@ -267,8 +270,6 @@ def grouped_agg(
     Result schema: keys + out_cols (same values as
     ``groupby(keys).aggregate(...)``, row order unspecified).
     """
-    from ocr_service_ray.ops.hashing import hash_column
-
     # mean = sum/count derived at the end
     phys: dict[str, tuple[str | None, str]] = {}
     derived_means: dict[str, tuple[str, str]] = {}
@@ -309,18 +310,6 @@ def grouped_agg(
                 named[out] = (col, _PARTIAL[agg])
         return b.groupby(keys, as_index=False, dropna=False).agg(**named)
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        # combined element-pure hash over ALL key columns — balanced
-        # buckets whatever the per-column cardinalities
-        h = hash_column(b[keys[0]])
-        for k in keys[1:]:
-            with np.errstate(over="ignore"):
-                h = h * np.uint64(0x100000001B3) ^ hash_column(b[k])
-        # metadata stripped: see bucketed_map_groups.add_bucket
-        return b.replace_schema_metadata(None).append_column(
-            "_bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        )
-
     def final(g: pd.DataFrame) -> pd.DataFrame:
         named = {out: (out, _MERGE[agg]) for out, (_, agg) in phys.items()}
         out = g.groupby(keys, as_index=False, dropna=False).agg(**named)
@@ -329,15 +318,12 @@ def grouped_agg(
             out = out.drop(columns=[s, c])
         return out
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(final, batch_format="pandas")
+    return bucketed_apply(
+        ds.map_batches(partial, batch_format="pandas"), keys, final, num_buckets
     )
 
 
-def grouped_distinct_count(ds, group_keys: list[str], col: str, num_buckets: int = 32):
+def grouped_distinct_count(ds, group_keys: list[str], col: str):
     """Exact ``COUNT(DISTINCT col) GROUP BY keys`` as two combiner
     aggregates: dedup to (keys, value) rows first (each block
     collapses to its distinct pairs before the shuffle), then count
@@ -358,12 +344,8 @@ def grouped_distinct_count(ds, group_keys: list[str], col: str, num_buckets: int
         lambda b: b.select(group_keys + [col]).filter(pc.is_valid(b[col])),
         batch_format="pyarrow",
     )
-    pairs = grouped_agg(
-        non_null, group_keys + [col], {"_one": (None, "count")}, num_buckets
-    )
-    return grouped_agg(
-        pairs, group_keys, {"n_distinct": (None, "count")}, num_buckets
-    )
+    pairs = grouped_agg(non_null, group_keys + [col], {"_one": (None, "count")})
+    return grouped_agg(pairs, group_keys, {"n_distinct": (None, "count")})
 
 
 def grouped_outliers(
@@ -371,7 +353,6 @@ def grouped_outliers(
     group_keys: list[str],
     value_col: str,
     k: float = 3.0,
-    num_buckets: int = 32,
 ):
     """Rows whose INTEGER value deviates more than ``k`` population
     standard deviations from their group mean — the statistical
@@ -403,7 +384,6 @@ def grouped_outliers(
             "s": (value_col, "sum"),
             "ss": ("_v2", "sum"),
         },
-        num_buckets,
     ).to_pandas()
     # precompute per-group mean/var once (|groups| rows), broadcast
     n = stats["n"].to_numpy(dtype=np.float64)
@@ -443,14 +423,12 @@ def grouped_outliers(
     return bcast_stage(ds, Filter, 120 * lut_len)
 
 
-def grouped_mode(ds, group_keys: list[str], col: str, num_buckets: int = 32):
+def grouped_mode(ds, group_keys: list[str], col: str):
     """Most frequent value of ``col`` per group (ties → smallest
     value), via the value-counts combiner: (keys, value) partial
     counts per block, merged, then a per-group argmax over the
     ≤ |distinct values| count rows — raw rows never shuffle."""
-    vc = grouped_agg(
-        ds, group_keys + [col], {"cnt": (None, "count")}, num_buckets
-    )
+    vc = grouped_agg(ds, group_keys + [col], {"cnt": (None, "count")})
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["cnt", col], ascending=[False, True], kind="stable")
@@ -459,7 +437,7 @@ def grouped_mode(ds, group_keys: list[str], col: str, num_buckets: int = 32):
         row["mode_count"] = [int(g["cnt"].iloc[0])]
         return pd.DataFrame(row)
 
-    return bucketed_map_groups(vc, group_keys, pick, num_buckets)
+    return bucketed_map_groups(vc, group_keys, pick)
 
 
 def _column_type(ds, col: str):
@@ -484,7 +462,6 @@ def mad_outliers(
     keep_cols: list[str],
     k_num: int = 3,
     k_den: int = 1,
-    num_buckets: int = 32,
 ):
     """Robust outlier filter: keep rows where
     ``|x - median| > (k_num/k_den) * MAD`` (MAD = median absolute
@@ -512,7 +489,7 @@ def mad_outliers(
         raise ValueError(
             f"mad_outliers needs an integer column (cents/micro); {col} is {ctype}"
         )
-    vc = grouped_agg(ds, [col], {"cnt": (None, "count")}, num_buckets).to_pandas()
+    vc = grouped_agg(ds, [col], {"cnt": (None, "count")}).to_pandas()
     # guard BEFORE dropna: zero-row to_pandas drops the columns
     vc = vc if vc.empty else vc.dropna(subset=[col])
     if vc.empty:
@@ -555,7 +532,6 @@ def rollup_agg(
     keys: list[str],
     specs: dict[str, tuple[str | None, str]],
     sets: list[tuple[str, ...]] | None = None,
-    num_buckets: int = 32,
 ) -> pd.DataFrame:
     """``GROUP BY GROUPING SETS`` / ``CUBE`` / ``ROLLUP`` from ONE
     source scan: the finest level ``grouped_agg`` runs once (combiner
@@ -588,7 +564,7 @@ def rollup_agg(
         unknown = [k for k in s if k not in keys]
         if unknown:
             raise ValueError(f"grouping set {s} references non-keys {unknown}")
-    base = grouped_agg(ds, keys, specs, num_buckets).to_pandas()
+    base = grouped_agg(ds, keys, specs).to_pandas()
     if base.empty:
         # zero-group input: keyed sets emit no rows; the () set emits
         # SQL's global-aggregate row (COUNT/SUM = 0, MIN/MAX = NULL)
@@ -628,7 +604,6 @@ def pivot_counts(
     key: str,
     pivot_col: str,
     categories: list[str],
-    num_buckets: int = 32,
 ):
     """Pivot ``pivot_col`` into one count column per category — the
     ``COUNT(*) FILTER (WHERE pivot = c)`` conditional-aggregation
@@ -659,7 +634,6 @@ def pivot_counts(
         ds.map_batches(indicators, batch_format="pyarrow"),
         [key],
         specs,
-        num_buckets,
     )
 
 

@@ -68,7 +68,6 @@ def containment_pairs(
     text_col: str = "text",
     id_col: str = "doc_id",
     hash: str = "oracle",
-    num_buckets: int = 32,
 ):
     """Pairs (id_small, id_big) with containment ≥ tau_ppm.
 
@@ -104,9 +103,7 @@ def containment_pairs(
         a, b = np.triu_indices(len(ids), k=1)
         return pd.DataFrame({"id_a": ids[a], "id_b": ids[b]})
 
-    pairs = bucketed_map_groups(
-        rare_docs, ["gram_hash"], emit_pairs, num_buckets=num_buckets
-    )
+    pairs = bucketed_map_groups(rare_docs, ["gram_hash"], emit_pairs)
     # a pair found via several rare grams appears once
     pairs = grouped_agg(
         pairs, ["id_a", "id_b"], {"_n": (None, "count")}
@@ -175,6 +172,4 @@ def containment_pairs(
             }
         )
 
-    return bucketed_map_groups(
-        j, ["id_a", "id_b"], verify, num_buckets=num_buckets
-    )
+    return bucketed_map_groups(j, ["id_a", "id_b"], verify)

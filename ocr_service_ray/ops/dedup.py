@@ -51,39 +51,33 @@ _MERSENNE31 = np.uint64((1 << 31) - 1)
 _SIG_BATCH = 8192
 
 
-def dedupe_pairs(pairs_ds, value_col: str, agg: str = "min", num_buckets: int = 64):
+# Bucket count of the dedupe_pairs and paragraph_dedup exchanges, whose
+# keys are near-unique per row (pairs, paragraphs, doc ids): twice the
+# library default.
+_DEDUP_BUCKETS = 64
+
+
+def dedupe_pairs(pairs_ds, value_col: str, agg: str = "min"):
     """Collapse duplicate (id_a, id_b) pair rows keeping the min/max of
     ``value_col`` — the cross-band dedup tail of every LSH pass.
 
     NOT ``groupby([id_a, id_b]).aggregate(...)``: Ray's grouped
     aggregate pays ~1ms of per-group dispatch, and pair keys are
-    near-unique (measured 30s+ for 44k pairs). Instead the pairs are
-    hashed into ``num_buckets`` coarse groups (one small shuffle) and
-    deduped INSIDE each group with one vectorized pandas
-    sort+drop_duplicates — identical result, per-group cost amortized
-    over thousands of pairs. The bucket hash MUST be element-pure
-    (ops/hashing.py) — ``pd.util.hash_array`` is not, and silently
-    split copies of the same pair across buckets."""
-    from ocr_service_ray.ops.hashing import hash_pair_columns
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = hash_pair_columns(batch["id_a"], batch["id_b"])
-        # metadata stripped: see ops/agg.bucketed_map_groups.add_bucket
-        return batch.replace_schema_metadata(None).append_column(
-            "_bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        )
+    near-unique (measured 30s+ for 44k pairs). Instead the pairs go
+    through the keyed exchange (``ops/agg.bucketed_apply``) and each
+    bucket is deduped with one vectorized pandas sort+drop_duplicates —
+    identical result, per-group cost amortized over thousands of
+    pairs."""
+    from ocr_service_ray.ops.agg import bucketed_apply
 
     ascending = agg == "min"
 
-    def dedup_group(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(value_col, ascending=ascending, kind="stable")
-        g = g.drop_duplicates(subset=["id_a", "id_b"], keep="first")
-        return g.drop(columns=["_bucket"])
+    def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(value_col, ascending=ascending, kind="stable")
+        return g.drop_duplicates(subset=["id_a", "id_b"], keep="first")
 
-    return (
-        pairs_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(dedup_group, batch_format="pandas")
+    return bucketed_apply(
+        pairs_ds, ["id_a", "id_b"], dedup_bucket, _DEDUP_BUCKETS
     )
 
 
@@ -519,21 +513,13 @@ def _keep_hot_buckets(rows_ds, key_cols: list[str]):
     import ray
     import pyarrow.compute as pc
 
-    from ocr_service_ray.ops.agg import grouped_agg
+    from ocr_service_ray.ops.agg import _key_hash, grouped_agg
 
     counts = grouped_agg(
         rows_ds.select_columns(key_cols),  # project before the counting shuffle
         key_cols,
         {"n": (None, "count")},
     )
-    from ocr_service_ray.ops.hashing import hash_column
-
-    def _combined_hash(t: pa.Table) -> np.ndarray:
-        h = hash_column(t[key_cols[0]])
-        for c in key_cols[1:]:
-            with np.errstate(over="ignore"):
-                h = h * np.uint64(0x100000001B3) ^ hash_column(t[c])
-        return h
 
     hot_tbl = pa.Table.from_pandas(
         counts.map_batches(
@@ -547,7 +533,7 @@ def _keep_hot_buckets(rows_ds, key_cols: list[str]):
     # prefilter (downstream still groups by the true key, so a
     # false-positive row just lands in a 1-member group → no pair);
     # it can never drop a hot row.
-    hot_hashes = np.sort(_combined_hash(hot_tbl)) if hot_tbl.num_rows else np.array([], np.uint64)
+    hot_hashes = np.sort(_key_hash(hot_tbl, key_cols)) if hot_tbl.num_rows else np.array([], np.uint64)
     hot_ref = ray.put(hot_hashes)
 
     class HotFilter:
@@ -563,7 +549,7 @@ def _keep_hot_buckets(rows_ds, key_cols: list[str]):
             # array — np.isin re-sorts the UNION of probe and hot set
             # on every batch, which at a corpus-proportional hot set
             # turns each batch into an O((n+m) log(n+m)) argsort
-            h = _combined_hash(batch)
+            h = _key_hash(batch, key_cols)
             idx = np.minimum(np.searchsorted(self.hot, h), len(self.hot) - 1)
             mask = self.hot[idx] == h
             return batch.filter(pa.array(mask))
@@ -813,7 +799,6 @@ def paragraph_dedup(
     id_col: str = "doc_id",
     text_col: str = "text",
     sep: str = "\n",
-    num_buckets: int = 64,
 ):
     """Global paragraph-level exact dedup (the RefinedWeb / CCNet
     line-dedup rule): split every document on ``sep``, keep ONLY the
@@ -828,12 +813,12 @@ def paragraph_dedup(
     1. **explode** (map_batches, vectorized): ``pc.split_pattern`` →
        flatten with ``list_parent_indices``; positions come from the
        list offsets. No Python loop over rows.
-    2. **winner per paragraph** (bucketed_map_groups on the paragraph
+    2. **winner per paragraph** (keyed exchange on the paragraph
        text): all occurrences of one paragraph meet in one task; keep
        the ``(doc, pos)``-min row. The exchange moves each paragraph
        occurrence once — there is no cheaper exact rule, since the
        surviving text must reach its reassembly group anyway.
-    3. **reassemble** (bucketed_map_groups on ``id_col``): in-group
+    3. **reassemble** (keyed exchange on ``id_col``): in-group
        sort by position, join with ``sep``.
 
     Skew: the pathological key is a corpus-dominating paragraph (empty
@@ -882,11 +867,11 @@ def paragraph_dedup(
         return out
 
     exploded = ds.map_batches(explode, batch_format="pyarrow")
-    winners = bucketed_apply(exploded, ["para"], first_occurrence, num_buckets)
-    return bucketed_apply(winners, [id_col], reassemble, num_buckets)
+    winners = bucketed_apply(exploded, ["para"], first_occurrence, _DEDUP_BUCKETS)
+    return bucketed_apply(winners, [id_col], reassemble, _DEDUP_BUCKETS)
 
 
-def fuzzy_pairs(ds, col: str, max_dist: int = 1, num_buckets: int = 32):
+def fuzzy_pairs(ds, col: str, max_dist: int = 1):
     """Edit-distance near-duplicate VALUE pairs — fuzzy-matching the
     distinct strings of ``col`` (titles, names, entity labels) within
     ``max_dist`` Levenshtein edits. The blocked-join shape:
@@ -912,7 +897,7 @@ def fuzzy_pairs(ds, col: str, max_dist: int = 1, num_buckets: int = 32):
     from ocr_service_ray.kernels.correct import levenshtein_distance
     from ocr_service_ray.ops.agg import bucketed_map_groups, grouped_agg
 
-    distinct = grouped_agg(ds, [col], {"_cnt": (None, "count")}, num_buckets)
+    distinct = grouped_agg(ds, [col], {"_cnt": (None, "count")})
 
     def roles(b: pa.Table) -> pa.Table:
         vals = [v for v in b[col].to_pylist() if v is not None]
@@ -953,4 +938,4 @@ def fuzzy_pairs(ds, col: str, max_dist: int = 1, num_buckets: int = 32):
         return pd.DataFrame({"name_a": a_rows, "name_b": b_rows, "dist": dists})
 
     exploded = distinct.map_batches(roles, batch_format="pyarrow")
-    return bucketed_map_groups(exploded, ["len_bucket"], verify, num_buckets)
+    return bucketed_map_groups(exploded, ["len_bucket"], verify)

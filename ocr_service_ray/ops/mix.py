@@ -73,7 +73,6 @@ def temperature_sample(
     ds,
     source_col: str = "source",
     order_col: str = "doc_id",
-    num_buckets: int = 32,
 ):
     """Temperature-rebalanced corpus sampling (the multilingual-
     training alpha=0.5 rule): keep ``floor(sqrt(n_s))`` documents from
@@ -107,9 +106,7 @@ def temperature_sample(
 
     from ocr_service_ray.ops.agg import bucketed_map_groups, grouped_agg
 
-    counts = grouped_agg(
-        ds, [source_col], {"n_docs": (None, "count")}, num_buckets
-    ).to_pandas()
+    counts = grouped_agg(ds, [source_col], {"n_docs": (None, "count")}).to_pandas()
     if counts.empty:
         # zero-row input: Ray's to_pandas drops the columns entirely,
         # so build the (empty) result from the input itself
@@ -127,7 +124,7 @@ def temperature_sample(
         keep = (rank * t) // n > ((rank - 1) * t) // n
         return g[keep]
 
-    return bucketed_map_groups(ds, [source_col], fold, num_buckets)
+    return bucketed_map_groups(ds, [source_col], fold)
 
 
 def proportional_sample(ds, group_col: str, id_col: str, total_n: int, salt: str = "mix"):

@@ -205,8 +205,7 @@ def _stats_broadcast(ds, n, min_df, text_col, id_col, hash="oracle"):
 def _stats_shuffle(ds, n, min_df, text_col, id_col, hash="oracle"):
     import pyarrow.compute as pc
 
-    from ocr_service_ray.ops.agg import bucketed_map_groups
-    from ocr_service_ray.ops.hashing import hash_column
+    from ocr_service_ray.ops.agg import bucketed_apply, bucketed_map_groups
     from ocr_service_ray.ops.relational import hash_join
 
     def explode_pos(batch: pa.Table) -> pa.Table:
@@ -231,30 +230,20 @@ def _stats_shuffle(ds, n, min_df, text_col, id_col, hash="oracle"):
 
     gram_pos = ds.map_batches(explode_pos, batch_format="pyarrow")
 
-    # ONE gram-keyed shuffle does df-count AND hot-filter together:
-    # the bucket key is a pure hash of gram_hash, so every occurrence
-    # of a gram lands in the same bucket and the bucket-local distinct-
-    # doc count IS the global df. This replaces the former separate
-    # hot_grams plan (a second corpus scan + grouped_agg) and the
-    # gram-keyed hash join — measured ~2× on the sf0.1 query, where
-    # per-shuffle fixed overhead, not gram hashing, dominates.
-    def add_gram_bucket(b: pa.Table) -> pa.Table:
-        h = hash_column(b["gram_hash"])
-        return b.replace_schema_metadata(None).append_column(
-            "_bucket", pa.array((h % np.uint64(32)).astype(np.int32))
-        )
-
+    # ONE gram-keyed exchange does df-count AND hot-filter together:
+    # every occurrence of a gram lands in the same bucket, so the
+    # bucket-local distinct-doc count IS the global df. This replaces
+    # the former separate hot_grams plan (a second corpus scan +
+    # grouped_agg) and the gram-keyed hash join — measured ~2× on the
+    # sf0.1 query, where per-shuffle fixed overhead, not gram hashing,
+    # dominates.
     def bucket_hot_filter(g: pd.DataFrame) -> pd.DataFrame:
         df_per_gram = g.groupby("gram_hash")[id_col].nunique()
         hot_keys = df_per_gram.index[df_per_gram >= min_df]
         out = g[g["gram_hash"].isin(hot_keys)]
         return out[[id_col, "s"]]
 
-    hits = (
-        gram_pos.map_batches(add_gram_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_hot_filter, batch_format="pandas")
-    )
+    hits = bucketed_apply(gram_pos, ["gram_hash"], bucket_hot_filter)
 
     def per_doc(g: pd.DataFrame) -> pd.DataFrame:
         starts = g["s"].to_numpy(dtype=np.int64)

@@ -763,7 +763,7 @@ def grouped_sequence(
     return bucketed_map_groups(ds, [key_col], fold)
 
 
-def set_op(ds_a, ds_b, cols: list[str], op: str = "intersect", num_buckets: int = 32):
+def set_op(ds_a, ds_b, cols: list[str], op: str = "intersect"):
     """SQL ``INTERSECT`` / ``EXCEPT`` / ``UNION`` (DISTINCT set
     semantics) over the
     ``cols`` projection of two datasets, as ONE combiner exchange: each
@@ -805,7 +805,6 @@ def set_op(ds_a, ds_b, cols: list[str], op: str = "intersect", num_buckets: int 
         both,
         cols,
         {"in_a": ("_in_a", "max"), "in_b": ("_in_b", "max")},
-        num_buckets,
     )
 
     def keep(b: pa.Table) -> pa.Table:

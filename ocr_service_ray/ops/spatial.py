@@ -35,7 +35,6 @@ def linf_self_join(
     x_col: str,
     y_col: str,
     eps: int,
-    num_buckets: int = 32,
 ):
     """All pairs (id_a < id_b) with |dx| <= eps AND |dy| <= eps.
 
@@ -103,5 +102,4 @@ def linf_self_join(
         ds.map_batches(replicate, batch_format="pyarrow"),
         ["bcx", "bcy"],
         pairs,
-        num_buckets=num_buckets,
     )

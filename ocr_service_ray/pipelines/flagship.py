@@ -51,7 +51,7 @@ def read_documents(path: str, columns: list[str] | None = None):
         return read_parquet_clean(path, columns=cols)
 
 
-def write_documents(ds, path: str, **kwargs):
+def write_documents(ds, path: str):
     """Write an output table — the sink mirror of :func:`read_documents`
     (BASELINE.json's ``input_hint`` is a Lance table, so the flagship
     sink is Lance-symmetric): ``ds.write_lance`` when the package is
@@ -62,11 +62,11 @@ def write_documents(ds, path: str, **kwargs):
     try:
         import lance  # noqa: F401
 
-        return ds.write_lance(path, **kwargs)
+        return ds.write_lance(path)
     except ImportError:
         from ocr_service_ray.sources.sinks import write_parquet_sized
 
-        return write_parquet_sized(ds, path, **kwargs)
+        return write_parquet_sized(ds, path)
 
 
 def run_extraction(

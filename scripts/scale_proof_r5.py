@@ -495,10 +495,11 @@ def flagship(args) -> dict:
                 n += b.num_rows
     wall = time.perf_counter() - t0
     if getattr(args, "sink", None):
-        # row-count verification from parquet metadata, outside the timer
-        import ray.data as rd
+        # row-count verification outside the timer, read back through
+        # the sink's own mirror (Lance where present, parquet otherwise)
+        from ocr_service_ray.pipelines.flagship import read_documents
 
-        n = rd.read_parquet(args.sink).count()
+        n = read_documents(args.sink, columns=["doc_id"]).count()
     res = {
         "stage": "flagship" + ("[sink]" if getattr(args, "sink", None) else ""),
         "docs": int(n),

@@ -8,7 +8,8 @@
   data size without downstream changes;
 - ``bucketed_apply`` (whole-bucket vectorized fold) agrees with
   ``bucketed_map_groups`` (per-group fn) on a fold expressed both
-  ways.
+  ways, and both — with ``dedupe_pairs`` — match pandas'
+  ``groupby(dropna=False)`` on a multi-column key with nulls.
 """
 
 import numpy as np
@@ -119,6 +120,72 @@ def test_bucketed_apply_matches_bucketed_map_groups(ray_session):
     a = bucketed_map_groups(ds, ["k"], per_group).to_pandas()
     b = bucketed_apply(ds, ["k"], per_bucket).to_pandas()
     pd.testing.assert_frame_equal(_sorted(a), _sorted(b), check_dtype=False)
+
+    # Two-column key (string + nullable int, nulls in both) spread over
+    # 10 blocks: every key tuple — null ones included — must meet in
+    # exactly one fold call, so each operator reproduces pandas'
+    # groupby(dropna=False) with one output row per key.
+    import pyarrow as pa
+
+    n = 6000
+    s = rng.choice(["a", "b", "c", "d", "e"], size=n).astype(object)
+    s[rng.rand(n) < 0.1] = None
+    i = rng.randint(0, 40, size=n).astype(object)
+    i[rng.rand(n) < 0.15] = None
+    v = rng.randint(0, 1000, size=n).astype("int64")
+    tbl = pa.table(
+        {
+            "s": pa.array(list(s), pa.string()),
+            "i": pa.array(list(i), pa.int64()),
+            "v": pa.array(v),
+        }
+    )
+    ds2 = rd.from_arrow([tbl.slice(j * 600, 600) for j in range(10)])
+    assert ds2.num_blocks() >= 8
+    df2 = tbl.to_pandas()
+    want = df2.groupby(["s", "i"], dropna=False, as_index=False).agg(
+        n=("v", "size"), tot=("v", "sum"), mn=("v", "min")
+    )
+
+    def canon(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.copy()
+        df["s"] = df["s"].fillna("<null>")
+        df["i"] = df["i"].astype("float64").fillna(-1).astype("int64")
+        return _sorted(df)
+
+    def one_group(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "s": [g["s"].iloc[0]],
+                "i": [g["i"].iloc[0]],
+                "n": [len(g)],
+                "tot": [int(g["v"].sum())],
+            }
+        )
+
+    def whole_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby(["s", "i"], dropna=False, as_index=False).agg(
+            n=("v", "size"), tot=("v", "sum")
+        )
+
+    pinned = canon(want[["s", "i", "n", "tot"]])
+    for got in (
+        bucketed_map_groups(ds2, ["s", "i"], one_group).to_pandas(),
+        bucketed_apply(ds2, ["s", "i"], whole_bucket).to_pandas(),
+    ):
+        pd.testing.assert_frame_equal(canon(got), pinned, check_dtype=False)
+
+    from ocr_service_ray.ops.dedup import dedupe_pairs
+
+    pairs = ds2.map_batches(
+        lambda b: pa.table({"id_a": b["s"], "id_b": b["i"], "hamming": b["v"]}),
+        batch_format="pyarrow",
+    )
+    got = dedupe_pairs(pairs, "hamming", agg="min").to_pandas()
+    got = got.rename(columns={"id_a": "s", "id_b": "i", "hamming": "mn"})
+    pd.testing.assert_frame_equal(
+        canon(got), canon(want[["s", "i", "mn"]]), check_dtype=False
+    )
 
 
 def test_auto_join_gather_string_payload_and_dup_fallback(ray_session):

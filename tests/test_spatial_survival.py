@@ -45,7 +45,6 @@ def test_linf_join_lossless_vs_brute_force(ray_session, pts, eps):
         "x",
         "y",
         eps=eps,
-        num_buckets=4,
     ).to_pandas()
     if len(got) == 0:
         got = pd.DataFrame(
