@@ -160,7 +160,7 @@ def run_bench(flagship_only: bool = False) -> dict:
 
     # Headline: flagship extraction over the derived interleaved corpus.
     from ocr_service_ray.pipelines.derive import derived_corpus
-    from ocr_service_ray.pipelines.flagship import run_extraction
+    from ocr_service_ray.pipelines.flagship import fused_pool_size, run_extraction
     from ocr_service_ray.stages.ocr import GENERATE_MEDIA
 
     ctx.execution_options.preserve_order = False
@@ -180,22 +180,17 @@ def run_bench(flagship_only: bool = False) -> dict:
     # compute (default 4 leaves dispatch gaps at 24 actors).
     ctx.max_tasks_in_flight_per_actor = 8
 
-    # One FUSED extraction pool (OCR engine is CPU-bound here) sized at
-    # 15/16 of the CPUs at EVERY cluster size — the same fraction at N
-    # and 4N is what makes the scaling comparison apples-to-apples.
+    # One FUSED extraction pool (OCR engine is CPU-bound here) sized by
+    # flagship.fused_pool_size: ~15/16 of the CPUs, one always free.
     # Round-2 sweep at 32 CPUs: 24/26/28/30 actors → 27.3/24.8/27.5/
     # 31.8k docs/s e2e (derive is light, so the pool can take most of
-    # the node); at 8 CPUs 6→7 actors was +12%. Never size a pool to
-    # ALL CPUs: the read/derive tasks need slots too (a pool reserving
-    # every CPU deadlocks the pipeline).
-    pool = max(2, NUM_CPUS * 15 // 16)
-
+    # the node); at 8 CPUs 6→7 actors was +12%.
     def build():
         return run_extraction(
             derived_corpus(SF_DIR, REPLICATE, num_blocks=64),
             GENERATE_MEDIA,
             kernel_batch_size=128,
-            kernel_concurrency=pool,
+            kernel_concurrency=fused_pool_size(NUM_CPUS),
             fused=True,
         )
 

@@ -46,6 +46,7 @@ from ocr_service_ray.ops.pool import bcast_stage
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 _PARTIAL = {
     "count": "size",
@@ -127,17 +128,35 @@ def global_agg(ds, specs: dict[str, tuple[str | None, str]]) -> dict:
     return result
 
 
-def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
-    """Combined element-pure uint64 hash of the ``keys`` columns
-    (ops/hashing.py per column, FNV-style fold across columns): the
-    same key tuple hashes the same in every batch and process, and a
-    null hashes to a fixed sentinel, so a null key is one group."""
+def _key_col_hash(col: pa.ChunkedArray) -> np.ndarray:
+    """``hash_column``, except that a float equal to an int64 value
+    (and a float null or NaN) hashes like that int64 (or an int64
+    null). A pandas batch turns a nullable int key into float64 only
+    in the blocks that hold a null, so without this the same key
+    would route to two buckets and split its group."""
     from ocr_service_ray.ops.hashing import hash_column
 
-    h = hash_column(t[keys[0]])
+    if not pa.types.is_floating(col.type):
+        return hash_column(col)
+    x = np.asarray(col.to_numpy(zero_copy_only=False), dtype=np.float64)
+    null = np.isnan(x)
+    whole = ~null & (x == np.trunc(x)) & (np.abs(x) < 2.0**63)
+    h = hash_column(pa.array(np.where(whole, x, 0).astype(np.int64), mask=null))
+    rest = ~(whole | null)
+    if rest.any():
+        h[rest] = hash_column(pc.filter(col, pa.array(rest)))
+    return h
+
+
+def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Combined element-pure uint64 hash of the ``keys`` columns
+    (:func:`_key_col_hash` per column, FNV-style fold across columns):
+    the same key tuple hashes the same in every batch and process, and
+    a null hashes to a fixed sentinel, so a null key is one group."""
+    h = _key_col_hash(t[keys[0]])
     for k in keys[1:]:
         with np.errstate(over="ignore"):
-            h = h * np.uint64(0x100000001B3) ^ hash_column(t[k])
+            h = h * np.uint64(0x100000001B3) ^ _key_col_hash(t[k])
     return h
 
 
@@ -338,8 +357,6 @@ def grouped_distinct_count(ds, group_keys: list[str], col: str):
     the output at all, where SQL would emit it with 0 — callers that
     need those zero rows should left-join this result back to the
     distinct-group spine."""
-    import pyarrow.compute as pc
-
     non_null = ds.map_batches(
         lambda b: b.select(group_keys + [col]).filter(pc.is_valid(b[col])),
         batch_format="pyarrow",
@@ -482,8 +499,6 @@ def mad_outliers(
 
     Output: keep_cols + col rows flagged as outliers.
     """
-    import pyarrow.compute as pc
-
     ctype = _column_type(ds, col)
     if ctype is not None and not pa.types.is_integer(ctype):
         raise ValueError(
@@ -614,8 +629,6 @@ def pivot_counts(
     schema — discovering it would be a second pass; use
     ``distinct_values`` when unknown). Values of ``pivot_col`` outside
     ``categories`` count toward no column (SQL FILTER semantics)."""
-    import pyarrow.compute as pc
-
     if not categories:
         raise ValueError("categories must be non-empty")
     if len(set(categories)) != len(categories):
@@ -648,8 +661,6 @@ def profile_table(ds, columns: list[str]) -> pd.DataFrame:
     (previously one aggregate per column = C+1 scans; at 100 TB with
     20 columns that was 20 extra reads). The profiling step every
     ingest pipeline runs before training."""
-    import pyarrow.compute as pc
-
     specs: dict = {"n_rows": (None, "count")}
     for c in columns:
         specs[f"nn_{c}"] = (c, "count")  # non-null

@@ -76,7 +76,7 @@ def containment_pairs(
     floor division at the end. Output columns: id_small, id_big,
     n_small, inter, containment_ppm.
     """
-    from ocr_service_ray.ops.relational import hash_join, join_partitions_for
+    from ocr_service_ray.ops.relational import hash_join
 
     grams = gram_sets(ds, n, text_col, id_col, hash)
 
@@ -91,12 +91,7 @@ def containment_pairs(
         batch_format="pyarrow",
     ).repartition(2)
 
-    rare_docs = hash_join(
-        grams,
-        rare,
-        on="gram_hash",
-        num_partitions=join_partitions_for(grams, rare),
-    )
+    rare_docs = hash_join(grams, rare, on="gram_hash")
 
     def emit_pairs(g: pd.DataFrame) -> pd.DataFrame:
         ids = np.sort(g[id_col].to_numpy())
@@ -130,13 +125,7 @@ def containment_pairs(
     docs = ds.map_batches(
         lambda b: b.select([id_col, text_col]), batch_format="pyarrow"
     )
-    j = hash_join(
-        members,
-        docs,
-        on="_doc",
-        right_on=id_col,
-        num_partitions=join_partitions_for(members, docs),
-    )
+    j = hash_join(members, docs, on="_doc", right_on=id_col)
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(

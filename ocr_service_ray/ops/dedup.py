@@ -507,7 +507,7 @@ def _keep_hot_buckets(rows_ds, key_cols: list[str]):
     documents (tiny relative to the corpus), so it is collected once
     and broadcast; every map task filters against the same object-store
     copy. If a corpus ever had a hot-key set too big to broadcast, the
-    fallback is a hash-partitioned ``Dataset.join`` on the keys —
+    fallback is a hash-partitioned ``hash_join`` on the keys —
     same semantics, one more shuffle.
     """
     import ray

@@ -17,7 +17,7 @@ raw-text shuffle:
    count — existence only, so the exchange moves one row per
    distinct gram, hapax-bounded like every gram table in this repo);
 3. the val (doc_id, gram) table hash-joins the train set on gram
-   (``Dataset.join`` — the distributed path; no broadcast of a
+   (``hash_join`` — the distributed path; no broadcast of a
    web-scale gram vocabulary);
 4. two |docs|-bounded grouped counts (total vs seen per doc) merge
    driver-side into ``novelty_ppm = ((total - seen) * 1e6) // total``

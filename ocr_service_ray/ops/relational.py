@@ -2,50 +2,37 @@
 
 Join strategy (SURVEY.md §2.4): broadcast when one side is a
 dimension table (ship once via ray.put, pandas merge per batch — no
-shuffle); hash-partitioned ``Dataset.join`` when both sides are
-large. Window/session operators follow the streaming-shaped pattern:
-partition by key, order by ts INSIDE the group (the stated ordering
-assumption), never globally.
+shuffle); :func:`hash_join`, the one caller of Ray's hash-partitioned
+``Dataset.join``, when both sides are large. Window/session operators
+follow the streaming-shaped pattern: partition by key, order by ts
+INSIDE the group (the stated ordering assumption), never globally.
 """
 
 from __future__ import annotations
 
-from ocr_service_ray.ops.pool import bcast_pool, bcast_stage
+from ocr_service_ray.ops.pool import bcast_stage
 
 import pandas as pd
 import pyarrow as pa
 
 
-def broadcast_join(
-    large_ds,
-    small_df: pd.DataFrame,
-    on: str,
-    how: str = "inner",
-    actor_threshold_bytes: int = 8 << 20,
-):
+def broadcast_join(large_ds, small_df: pd.DataFrame, on: str, how: str = "inner"):
     """Broadcast hash join: the small side is put in the object store
     ONCE; every task reads the same copy (per-node, zero-copy via
     plasma) instead of re-shipping per batch.
 
-    Tiered by the broadcast side's size: under
-    ``actor_threshold_bytes`` the merge runs as a plain TASK pool —
-    per-task ``ray.get`` of a small frame from local plasma is
-    sub-ms, while an autoscaling actor pool pays seconds of
-    spawn/ramp before full throughput (measured 1.7-3.0s vs 0.55s
-    for a 3k-row side against a 150k-row probe at 32 CPUs). Past the
-    threshold the per-task DESERIALIZE of a big pandas frame is the
-    dominant cost, so the stage becomes an actor pool that pays the
-    get once per actor in ``__init__`` (bcast_pool sizing)."""
+    Tiered by the broadcast side's pandas size through ``bcast_stage``:
+    a small side merges in a plain TASK pool — per-task ``ray.get`` of
+    a small frame from local plasma is sub-ms, while an autoscaling
+    actor pool pays seconds of spawn/ramp before full throughput
+    (measured 1.7-3.0s vs 0.55s for a 3k-row side against a 150k-row
+    probe at 32 CPUs). Past the threshold the per-task DESERIALIZE of
+    a big pandas frame is the dominant cost, so the stage becomes an
+    actor pool that pays the get once per actor."""
     import ray
 
     ref = ray.put(small_df)
     small_bytes = int(small_df.memory_usage(deep=True).sum())
-    if small_bytes <= actor_threshold_bytes:
-
-        def join_batch(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.merge(ray.get(ref), on=on, how=how)
-
-        return large_ds.map_batches(join_batch, batch_format="pandas")
 
     class JoinBatch:
         def __init__(self):
@@ -54,7 +41,7 @@ def broadcast_join(
         def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
             return batch.merge(self.small, on=on, how=how)
 
-    return large_ds.map_batches(JoinBatch, batch_format="pandas", concurrency=bcast_pool())
+    return bcast_stage(large_ds, JoinBatch, small_bytes, batch_format="pandas")
 
 
 def join_partitions_for(*datasets, target_bytes: int = 128 << 20, lo: int = 2, hi: int = 512) -> int:
@@ -96,7 +83,17 @@ def join_aggregator_args(num_partitions: int, cpu_share: float = 0.125) -> dict:
     reservation at ``cpu_share`` of the cluster instead so several
     exchanges and their producers coexist; aggregator work (concat +
     acero join at finalize) oversubscribes briefly, which is the right
-    trade vs. starving the pipeline."""
+    trade vs. starving the pipeline.
+
+    The returned dict REPLACES Ray's default aggregator args, it is not
+    merged into them (hash_shuffle.py: ``override or
+    _get_default_aggregator_ray_remote_args(...)``). The defaults also
+    reserve ~0.875 GiB of ``memory`` per aggregator, so a 16-partition
+    join asks for 14 GiB; on a host whose Ray memory resource is
+    smaller, the aggregators past the budget never start and the join
+    waits forever without an error. This override reserves CPU only,
+    which is why no query may call ``Dataset.join`` directly — every
+    equi-join goes through :func:`hash_join`."""
     import math
 
     import ray
@@ -131,7 +128,15 @@ def hash_join(
     sides shuffled on the key). ``num_partitions`` defaults to a
     size-derived count (join_partitions_for). ``on``/``right_on`` are a
     column name or tuple of names. Salt hot keys upstream if one key
-    value dominates — the join partitions by hash(key) only."""
+    value dominates — the join partitions by hash(key) only.
+
+    This is the library's ONLY call of ``Dataset.join``
+    (tests/test_single_join_path.py parses the sources to keep it so).
+    It passes
+    :func:`join_aggregator_args`, which REPLACES Ray's default
+    aggregator args and with them their per-aggregator ``memory``
+    reservation: a native ``Dataset.join`` with the defaults hangs on
+    a host whose Ray memory resource cannot hold every aggregator."""
     from ocr_service_ray import rayfix
 
     # flaky-schema-broadcast workaround (see rayfix module docstring):

@@ -69,6 +69,16 @@ def write_documents(ds, path: str):
         return write_parquet_sized(ds, path)
 
 
+def fused_pool_size(num_cpus: int) -> int:
+    """Actor count for the FUSED extraction pool on ``num_cpus`` CPUs:
+    ~15/16 of them (the same fraction at every cluster size keeps an
+    N-vs-4N scaling comparison apples-to-apples), but always at least
+    one CPU left free, because the read/derive tasks feeding the pool
+    need a slot and a pool reserving every CPU stalls the pipeline.
+    Gives 1, 2, 3, 7, 15, 30 actors at 2, 3, 4, 8, 16, 32 CPUs."""
+    return max(1, num_cpus - max(1, num_cpus // 16))
+
+
 def run_extraction(
     docs,
     media,

@@ -323,24 +323,3 @@ def generate_feedback(seed: int = 42) -> pa.Table:
     add("Маркуталь", "Мариуполь", 0.95, True, 4)      # already applied → excluded
     return pa.Table.from_pylist(rows, schema=schema.FEEDBACK_SCHEMA)
 
-
-def write_corpus(out_dir: str, n_docs: int, seed: int = 42, skew_fraction: float = 0.01) -> dict:
-    """Materialize a corpus as parquet (the sandbox's Lance fallback).
-    Returns the paths. Media payloads are wide binary rows → modest
-    row-group size keeps blocks splittable at read time."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    os.makedirs(out_dir, exist_ok=True)
-    docs, media = generate_corpus(n_docs, seed=seed, skew_fraction=skew_fraction)
-    paths = {
-        "docs": os.path.join(out_dir, "docs.parquet"),
-        "media": os.path.join(out_dir, "media.parquet"),
-        "corrections": os.path.join(out_dir, "corrections.json"),
-    }
-    pq.write_table(docs, paths["docs"], row_group_size=4096)
-    pq.write_table(media, paths["media"], row_group_size=4096)
-    with open(paths["corrections"], "w", encoding="utf-8") as f:
-        json.dump(corrections_entries(), f, ensure_ascii=False, indent=2)
-    return paths

@@ -52,7 +52,7 @@ def main() -> None:
     ap.add_argument(
         "--fused",
         action="store_true",
-        help="one fused extraction pool sized to 15/16 of cluster CPUs "
+        help="one fused extraction pool sized by flagship.fused_pool_size "
         "(the bench-tuned steady-state configuration); default keeps the "
         "autoscaling two-stage pools",
     )
@@ -71,7 +71,7 @@ def main() -> None:
     ctx._max_num_blocks_in_streaming_gen_buffer = 16
     ctx.max_tasks_in_flight_per_actor = 8
 
-    from ocr_service_ray.pipelines.flagship import run_extraction
+    from ocr_service_ray.pipelines.flagship import fused_pool_size, run_extraction
     from ocr_service_ray.stages.checkpoint import run_checkpointed
     from ocr_service_ray.stages.ocr import GENERATE_MEDIA
 
@@ -121,7 +121,7 @@ def main() -> None:
         ncpu = int(ray.cluster_resources().get("CPU", 8))
         extract_kwargs = dict(
             fused=True,
-            kernel_concurrency=max(2, ncpu * 15 // 16),
+            kernel_concurrency=fused_pool_size(ncpu),
             kernel_batch_size=128,
         )
 

@@ -457,7 +457,7 @@ def flagship(args) -> dict:
     from ray.data import DataContext
 
     from ocr_service_ray.pipelines.derive import derived_corpus
-    from ocr_service_ray.pipelines.flagship import run_extraction
+    from ocr_service_ray.pipelines.flagship import fused_pool_size, run_extraction
     from ocr_service_ray.stages.ocr import GENERATE_MEDIA
 
     ctx = DataContext.get_current()
@@ -465,7 +465,6 @@ def flagship(args) -> dict:
     ctx.target_max_block_size = 512 * 1024
     ctx._max_num_blocks_in_streaming_gen_buffer = 16
     ctx.max_tasks_in_flight_per_actor = 8
-    pool = max(2, NUM_CPUS * 15 // 16)
     repl = int(os.environ.get("SCALE10_FLAGSHIP_REPL", "480"))
     t0 = time.perf_counter()
     n = 0
@@ -476,7 +475,7 @@ def flagship(args) -> dict:
             ),
             GENERATE_MEDIA,
             kernel_batch_size=128,
-            kernel_concurrency=pool,
+            kernel_concurrency=fused_pool_size(NUM_CPUS),
             fused=True,
         )
         if getattr(args, "sink", None):

@@ -9,7 +9,8 @@
 - ``bucketed_apply`` (whole-bucket vectorized fold) agrees with
   ``bucketed_map_groups`` (per-group fn) on a fold expressed both
   ways, and both — with ``dedupe_pairs`` — match pandas'
-  ``groupby(dropna=False)`` on a multi-column key with nulls.
+  ``groupby(dropna=False)`` on a multi-column key with nulls, as does
+  ``grouped_agg`` on an int key that turns float in some blocks.
 """
 
 import numpy as np
@@ -44,16 +45,15 @@ def _sorted(df: pd.DataFrame) -> pd.DataFrame:
     return df[cols].sort_values(cols, kind="stable").reset_index(drop=True)
 
 
-def test_broadcast_join_task_and_actor_tiers_equal(orders_ds, cust_df):
+def test_broadcast_join_task_and_actor_tiers_equal(orders_ds, cust_df, monkeypatch):
+    from ocr_service_ray.ops import pool
     from ocr_service_ray.ops.relational import broadcast_join
 
-    # force each tier explicitly via the threshold
-    task_tier = broadcast_join(
-        orders_ds, cust_df, on="o_custkey", actor_threshold_bytes=1 << 40
-    ).to_pandas()
-    actor_tier = broadcast_join(
-        orders_ds, cust_df, on="o_custkey", actor_threshold_bytes=0
-    ).to_pandas()
+    # force each tier through bcast_stage's threshold
+    monkeypatch.setattr(pool, "BCAST_ACTOR_THRESHOLD", 1 << 40)
+    task_tier = broadcast_join(orders_ds, cust_df, on="o_custkey").to_pandas()
+    monkeypatch.setattr(pool, "BCAST_ACTOR_THRESHOLD", -1)
+    actor_tier = broadcast_join(orders_ds, cust_df, on="o_custkey").to_pandas()
     pd.testing.assert_frame_equal(_sorted(task_tier), _sorted(actor_tier))
     assert len(task_tier) > 0
 
@@ -185,6 +185,25 @@ def test_bucketed_apply_matches_bucketed_map_groups(ray_session):
     got = got.rename(columns={"id_a": "s", "id_b": "i", "hamming": "mn"})
     pd.testing.assert_frame_equal(
         canon(got), canon(want[["s", "i", "mn"]]), check_dtype=False
+    )
+
+    # A nullable int key whose nulls sit in one block only: that
+    # block's pandas partial holds the key as float64, the other's as
+    # int64, and 1.0 must still meet 1 in one bucket.
+    from ocr_service_ray.ops.agg import grouped_agg
+
+    t1 = pa.table({"k": pa.array([1, 2, 3], pa.int64())})
+    t2 = pa.table({"k": pa.array([1, 2, None], pa.int64())})
+    got = grouped_agg(rd.from_arrow([t1, t2]), ["k"], {"n": (None, "count")})
+    want = (
+        pa.concat_tables([t1, t2])
+        .to_pandas()
+        .groupby("k", dropna=False)
+        .size()
+        .reset_index(name="n")
+    )
+    pd.testing.assert_frame_equal(
+        _sorted(got.to_pandas()), _sorted(want), check_dtype=False
     )
 
 
