@@ -24,7 +24,15 @@ Reproduces the reference's two-pass text correction exactly:
    list here.
 
 Performance notes (semantics-preserving):
-- suggestions are memoized per distinct token within one call — the
+- the contextual pass substitutes only the whole-word runs that hold a
+  ``0`` or ``8`` (``_DIGIT_WORD``): the runs of the reference pattern
+  without one cannot change, so they get no Python callback (43k → 1.8k
+  callbacks on a 5000-doc ``perfbench`` derived corpus);
+- the dictionary pass looks up each DISTINCT alphanumeric token once
+  and returns at once when none has a suggestion; otherwise it walks
+  the token sequence over the tokens that have one, so the sequential
+  replace order is the reference's;
+- suggestions are memoized per DB instance (actor lifetime) — the
   suggestion is a pure function of the token and the (frozen) DB;
 - the fuzzy scan prunes candidates with ``quick_ratio`` /
   ``real_quick_ratio``, which are documented upper bounds of
@@ -36,8 +44,11 @@ from __future__ import annotations
 import re
 from difflib import SequenceMatcher
 
-# correctors.py:220
-_WORD_PATTERN = re.compile(r"\b[А-Яа-яЁё0-9]+\b")
+# correctors.py:220 is \b[А-Яа-яЁё0-9]+\b. Its matches are whole \w
+# words made only of class characters (every class character is a
+# word character, so \b never holds inside a run); this pattern
+# selects exactly those of them that contain a 0 or 8.
+_DIGIT_WORD = re.compile(r"\b[А-Яа-яЁё0-9]*[08][А-Яа-яЁё0-9]*\b")
 # correctors.py:270
 _TOKEN_PATTERN = re.compile(r"\b\w+\b|\W+")
 # The \W+ alternates of _TOKEN_PATTERN never survive the loop's
@@ -211,22 +222,28 @@ def contextual_correct(text: str) -> tuple[str, list[dict]]:
                 return new_word
         return word
 
-    # Fast guard: without a '0' or '8' anywhere, no word can change —
-    # skip the regex pass + 37k Python callbacks entirely.
+    # Fast guard: without a '0' or '8' anywhere, no word can change.
     if "0" not in text and "8" not in text:
         return text, corrections_applied
-    return _WORD_PATTERN.sub(replace_digits, text), corrections_applied
+    return _DIGIT_WORD.sub(replace_digits, text), corrections_applied
 
 
 def dictionary_correct(text: str, db: CorrectionsDB) -> tuple[str, list[dict]]:
     """Pass 2 — ``correctors.py:269-292``: token list is fixed from the
     input text; replacements mutate the running text sequentially."""
     corrections_applied: list[dict] = []
+    tokens = _WORD_TOKEN.findall(text)
+    # \w includes '_' — same isalnum() filter as the reference loop
+    suggestions = {
+        word: suggestion
+        for word in set(tokens)
+        if word.isalnum() and (suggestion := db.suggest_cached(word))
+    }
+    if not suggestions:
+        return text, corrections_applied
     corrected_text = text
-    for word in _WORD_TOKEN.findall(text):
-        if not word.isalnum():  # \w includes '_' — same filter as the reference loop
-            continue
-        suggestion = db.suggest_cached(word)
+    for word in tokens:
+        suggestion = suggestions.get(word)
         if suggestion:
             original = suggestion["original"]
             corrected = suggestion["corrected"]

@@ -90,30 +90,65 @@ _COMPILED = {
     for name, spec in FIELD_PATTERNS.items()
 }
 
-# Semantics-neutral fast-reject guards: each entry is a NECESSARY
-# condition of its field pattern (a match of the pattern implies a
-# match of the guard), so skipping findall when the guard misses can
-# never change the result — it only skips scans that would return [].
-# Implications: ogrn/inn/kpp/snils/date/phone all require a digit;
-# email requires '@'; certificate_number/number start with [№N]
-# (IGNORECASE adds 'n'); surname requires a Cyrillic letter.
-# Measured: 10 findall scans/doc → ~2 on digit-free prose (38% of the
-# fused stage was validation).
-_DIGIT = re.compile(r"\d")
-_PRECONDITION = {
-    "ogrn": _DIGIT,
-    "inn": _DIGIT,
-    "kpp": _DIGIT,
-    "date": _DIGIT,
-    "snils": _DIGIT,
-    "phone": _DIGIT,
-    "email": re.compile(r"@"),
-    "certificate_number": re.compile(r"[№Nn]"),
-    "number": re.compile(r"[№Nn]"),
-    "surname": re.compile(r"[А-Яа-яЁё]"),
+# Semantics-neutral fast-reject guards. Each field lists the guards
+# whose conjunction is a NECESSARY condition of its pattern: a match
+# of the pattern implies every listed guard hits the text, so skipping
+# findall when one misses can never change the result, it only skips
+# scans that would return []. ogrn/inn/kpp/snils/date/phone need a
+# digit; email needs '@'; number starts with [№N] (IGNORECASE adds
+# 'n'); certificate_number starts with [№N] and also needs \d{2};
+# surname (and the three important-data surname patterns) needs a
+# letter of [А-ЯЁ] under IGNORECASE, which is А-я, Ёё and the Cyrillic
+# Extended-C small letters U+1C80-U+1C86 (ᲀ-ᲆ: case variants of
+# В Д О С Т Т Ъ, so Python's case folding puts them in the class).
+#
+# Each guard has a Python form (per document) and an RE2 form that
+# ``batch_guard_bits`` evaluates once per batch with pyarrow.compute.
+# RE2's \d is ASCII-only, so its digit form is \p{Nd}, a superset of
+# Python's Unicode \d (a false positive only costs a scan). Both
+# forms are checked against the patterns' own classes over every code
+# point by tests/test_guard_sweep.py. A doc's guard bits are an int,
+# bit i set iff guard i hits.
+GUARDS: dict[str, tuple[str, str]] = {  # name → (Python form, RE2 form)
+    "digit": (r"\d", r"\p{Nd}"),
+    "at": ("@", "@"),
+    "numero": ("[№Nn]", "[№Nn]"),
+    "cyrillic": ("[А-Яа-яЁёᲀ-ᲆ]", "[А-Яа-яЁёᲀ-ᲆ]"),
 }
+_GUARD_BIT = {name: 1 << i for i, name in enumerate(GUARDS)}
+_GUARD_RE = [(_GUARD_BIT[name], re.compile(py)) for name, (py, _) in GUARDS.items()]
+_PRECONDITION: dict[str, tuple[str, ...]] = {
+    "ogrn": ("digit",),
+    "inn": ("digit",),
+    "kpp": ("digit",),
+    "date": ("digit",),
+    "snils": ("digit",),
+    "phone": ("digit",),
+    "email": ("at",),
+    "certificate_number": ("numero", "digit"),
+    "number": ("numero",),
+    "surname": ("cyrillic",),
+}
+_NEEDS = {f: sum(_GUARD_BIT[g] for g in gs) for f, gs in _PRECONDITION.items()}
 
-_WS = re.compile(r"\s+")
+
+def guard_bits(text: str) -> int:
+    """One document's guard bits, from the Python forms."""
+    return sum(bit for bit, guard in _GUARD_RE if guard.search(text))
+
+
+def batch_guard_bits(texts) -> list[int]:
+    """Guard bits of every string in a pyarrow string array, from the
+    RE2 forms: one vectorized scan per guard instead of per document."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    bits = np.zeros(len(texts), dtype=np.int64)
+    for name, (_, re2) in GUARDS.items():
+        hit = pc.match_substring_regex(texts, re2).to_numpy(zero_copy_only=False)
+        bits[hit] |= _GUARD_BIT[name]
+    return bits.tolist()
+
 
 # validators.py:234-238
 _SURNAME_PATTERNS = [
@@ -138,18 +173,24 @@ class ValidationResult:
     suggested_correction: str | None = None
 
 
-def find_field(field_name: str, text: str) -> list[tuple[str, float]]:
-    """``validators.py:85-117``."""
+def find_field(
+    field_name: str, text: str, guards: int | None = None
+) -> list[tuple[str, float]]:
+    """``validators.py:85-117``. ``guards``: the text's guard bits if
+    the caller already has them (see ``batch_guard_bits``)."""
     pattern = _COMPILED.get(field_name)
     if pattern is None:
         return []
-    guard = _PRECONDITION.get(field_name)
-    if guard is not None and guard.search(text) is None:
+    if guards is None:
+        guards = guard_bits(text)
+    needs = _NEEDS[field_name]
+    if guards & needs != needs:
         return []  # pattern provably cannot match (see _PRECONDITION)
     results = []
     validator = FIELD_PATTERNS[field_name]["validation"]
     for match in pattern.findall(text):
-        cleaned = _WS.sub(" ", str(match).strip())
+        # split()/join and \s+ both split on str.isspace characters
+        cleaned = " ".join(match.split())
         is_valid = validator(cleaned)
         results.append((cleaned, 0.9 if is_valid else 0.5))
     return results
@@ -200,6 +241,7 @@ def validate_critical_fields(
     text: str,
     required_fields: list[str] | None = None,
     _scan: dict[str, list[tuple[str, float]]] | None = None,
+    guards: int | None = None,
 ) -> dict[str, ValidationResult]:
     """``validators.py:168-201`` — note the found confidence OVERRIDES
     the validate_field confidence (``:190``).
@@ -208,11 +250,14 @@ def validate_critical_fields(
     this ``text`` (shared with ``extract_important_data`` by the
     kernel stage); scans are pure, so reuse is semantics-identical —
     including the reference's suggestion re-scan inside
-    ``validate_field``, which uses the same (field, text) arguments."""
+    ``validate_field``, which uses the same (field, text) arguments.
+    ``guards``: the text's guard bits, computed here when absent."""
     results: dict[str, ValidationResult] = {}
     fields_to_check = required_fields if required_fields else list(FIELD_PATTERNS.keys())
+    if guards is None:
+        guards = guard_bits(text)
     for field_name in fields_to_check:
-        found_values = find_field(field_name, text)
+        found_values = find_field(field_name, text, guards)
         if _scan is not None:
             _scan[field_name] = found_values
         if found_values:
@@ -232,18 +277,23 @@ def validate_critical_fields(
 
 
 def extract_important_data(
-    text: str, _scan: dict[str, list[tuple[str, float]]] | None = None
+    text: str,
+    _scan: dict[str, list[tuple[str, float]]] | None = None,
+    guards: int | None = None,
 ) -> dict[str, list[str]]:
     """``validators.py:203-251``; surnames sorted before the cap-10
     (determinism fix, documented divergence).
 
     ``_scan``: optional precomputed ``find_field`` results for this
-    ``text`` (see ``validate_critical_fields``) — pure-scan reuse."""
+    ``text`` (see ``validate_critical_fields``) — pure-scan reuse.
+    ``guards``: the text's guard bits, computed here when absent."""
+    if guards is None:
+        guards = guard_bits(text)
 
     def scan(field: str) -> list[tuple[str, float]]:
         if _scan is not None and field in _scan:
             return _scan[field]
-        return find_field(field, text)
+        return find_field(field, text, guards)
 
     important_data = {
         "inn": [v for v, _ in scan("inn")],
@@ -254,9 +304,7 @@ def extract_important_data(
     found_surnames = set()
     # same necessary-condition guard as the 'surname' field: all three
     # patterns require a Cyrillic letter
-    surname_patterns = (
-        _SURNAME_PATTERNS if _PRECONDITION["surname"].search(text) else ()
-    )
+    surname_patterns = _SURNAME_PATTERNS if guards & _GUARD_BIT["cyrillic"] else ()
     for pattern in surname_patterns:
         for match in pattern.findall(text):
             if len(match) >= 3 and match[0].isupper():

@@ -6,8 +6,28 @@ only so the corrections DB is constructed ONCE per actor from the
 broadcast entries (``fn_constructor_kwargs``) instead of being
 re-shipped per task. The per-document string kernels are inherently
 sequential Python (the reference's order-dependent replace semantics,
-SURVEY.md §7.4-1); batching amortizes the Arrow conversion and the
-regex machinery is precompiled at module import.
+SURVEY.md §7.4-1); the regex machinery is precompiled at module import.
+
+``KernelStage.table`` works on a batch of EXT rows in three steps:
+
+1. assemble and correct every row;
+2. build the corrected texts once as the Arrow ``full_text`` column
+   (the output table reuses it) and evaluate the field-scan guards
+   over that column once per batch (``kernels/validate.batch_guard_bits``:
+   RE2 forms of the necessary conditions in ``_PRECONDITION``, checked
+   against the field patterns over every code point by
+   ``tests/test_guard_sweep.py``);
+3. validate and extract important data per row with those guard bits,
+   score quality, and emit one tuple per row in OUT_SCHEMA order,
+   transposed into the output columns.
+
+``FusedExtractStage`` passes ``OcrStage.rows`` straight to
+``KernelStage.__call__``, so no EXT_SCHEMA table is built between the
+two; the two-pool layout's ``OcrStage.__call__`` / ``KernelStage.__call__``
+are Arrow wrappers around the same two functions. ``perfbench/trace.py``
+times ``KernelStage.__call__`` (once per batch) and the six kernels by
+patching this module's globals, so the kernels must be called through
+them (``tests/test_trace_hooks.py`` pins both).
 """
 
 from __future__ import annotations
@@ -19,6 +39,7 @@ from ocr_service_ray.kernels.assemble import assemble_document
 from ocr_service_ray.kernels.correct import CorrectionsDB, correct_text
 from ocr_service_ray.kernels.quality import check_image_quality, check_quality
 from ocr_service_ray.kernels.validate import (
+    batch_guard_bits,
     extract_important_data,
     validate_critical_fields,
 )
@@ -43,8 +64,14 @@ def _tune_worker_gc() -> None:
     gc.set_threshold(50_000, 25, 25)
 
 
+def _error_record(row: dict) -> tuple:
+    rec = error_row(row["doc_id"], RuntimeError(row["error"]))
+    rec["error"] = row["error"]
+    return tuple(rec[name] for name in schema.OUT_SCHEMA.names)
+
+
 class KernelStage:
-    """EXT_SCHEMA batch in → OUT_SCHEMA batch out."""
+    """EXT rows (or an EXT_SCHEMA batch) in → OUT_SCHEMA batch out."""
 
     def __init__(
         self,
@@ -59,20 +86,38 @@ class KernelStage:
         self._metrics = resolve_collector(metrics_name)
         _tune_worker_gc()
 
-    def process_row(self, row: dict) -> dict:
-        if row["error"]:
-            rec = error_row(row["doc_id"], RuntimeError(row["error"]))
-            rec["error"] = row["error"]
-            return rec
-        assembled = assemble_document(row["ext_spans"])
-        raw_text = assembled["raw_text"]
-        full_text, corrections = correct_text(raw_text, self.db)
+    def table(self, rows: list[dict]) -> pa.Table:
+        """EXT rows (``OcrStage.rows``) → OUT_SCHEMA table, one tuple per
+        row in OUT_SCHEMA order, transposed into the columns."""
+        texts = []  # (assembled, full_text, corrections), None for an error row
+        for row in rows:
+            if row["error"]:
+                texts.append(None)
+                continue
+            assembled = assemble_document(row["ext_spans"])
+            full_text, corrections = correct_text(assembled["raw_text"], self.db)
+            texts.append((assembled, full_text, corrections))
+        full_text_col = pa.array([t[1] if t else "" for t in texts], pa.string())
+        records = [
+            self._record(row, *t, guards) if t else _error_record(row)
+            for row, t, guards in zip(rows, texts, batch_guard_bits(full_text_col))
+        ]
+        columns = list(zip(*records)) or [()] * len(schema.OUT_SCHEMA)
+        arrays = [
+            full_text_col if f.name == "full_text" else pa.array(c, f.type)
+            for c, f in zip(columns, schema.OUT_SCHEMA)
+        ]
+        return pa.Table.from_arrays(arrays, schema=schema.OUT_SCHEMA)
+
+    def _record(self, row, assembled, full_text, corrections, guards) -> tuple:
         # One shared field-scan per document: find_field is pure, so
         # validation and important-data extraction reuse the same
         # full-text regex passes (16 → 10 scans per doc).
         scan: dict = {}
-        validation = validate_critical_fields(full_text, self.required_fields, _scan=scan)
-        important = extract_important_data(full_text, _scan=scan)
+        validation = validate_critical_fields(
+            full_text, self.required_fields, _scan=scan, guards=guards
+        )
+        important = extract_important_data(full_text, _scan=scan, guards=guards)
         image_quality = (
             check_image_quality(
                 row["sharpness_var"], row["contrast_std"], row["brightness_mean"]
@@ -84,17 +129,17 @@ class KernelStage:
         needs_review = report["needs_review"] or any(
             not r.valid for r in validation.values()
         )
-        return {
-            "doc_id": row["doc_id"],
-            "spans": assembled["spans"],
-            "full_text": full_text,
-            "raw_text": raw_text,
-            "critical_fields": critical_fields_json(validation),
-            "important_inn": important["inn"],
-            "important_snils": important["snils"],
-            "important_numbers": important["numbers"],
-            "important_surnames": important["surnames"],
-            "corrections_applied": [
+        return (  # OUT_SCHEMA order
+            row["doc_id"],
+            assembled["spans"],
+            full_text,
+            assembled["raw_text"],
+            critical_fields_json(validation),
+            important["inn"],
+            important["snils"],
+            important["numbers"],
+            important["surnames"],
+            [
                 {
                     "from_": c["from"],
                     "to": c["to"],
@@ -103,25 +148,20 @@ class KernelStage:
                 }
                 for c in corrections
             ],
-            "overall_quality": report["overall_quality"],
-            "ocr_confidence": assembled["ocr_confidence"],
-            "needs_review": needs_review,
-            "total_pages": assembled["total_pages"],
-            "n_corrections": len(corrections),
-            "error": "",
-        }
+            report["overall_quality"],
+            assembled["ocr_confidence"],
+            needs_review,
+            assembled["total_pages"],
+            len(corrections),
+            "",
+        )
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table | list[dict]) -> pa.Table:
         import time as _time
 
         _t0 = _time.perf_counter()
-        rows = batch.to_pylist()
-        out = {name: [] for name in schema.OUT_SCHEMA.names}
-        for row in rows:
-            rec = self.process_row(row)
-            for name in schema.OUT_SCHEMA.names:
-                out[name].append(rec[name])
-        result = pa.Table.from_pydict(out, schema=schema.OUT_SCHEMA)
+        rows = batch if isinstance(batch, list) else batch.to_pylist()
+        result = self.table(rows)
         if self._metrics is not None:
             from ocr_service_ray.stages.metrics import record_batch
 
@@ -159,7 +199,7 @@ class FusedExtractStage:
         import time as _time
 
         _t0 = _time.perf_counter()
-        result = self.kernel(self.ocr(batch))
+        result = self.kernel(self.ocr.rows(batch))
         if self._metrics is not None:
             from ocr_service_ray.stages.metrics import record_batch
 

@@ -129,10 +129,9 @@ class OcrStage:
 
         self._metrics = resolve_collector(metrics_name)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import time as _time
-
-        _t0 = _time.perf_counter()
+    def rows(self, batch: pa.Table) -> list[dict]:
+        """Documents → EXT rows as dicts keyed by the EXT_SCHEMA names.
+        The fused stage hands these straight to ``KernelStage``."""
         doc_ids = batch["doc_id"].to_pylist()
         spans_col = batch["spans"].to_pylist()
         needed = {
@@ -143,27 +142,34 @@ class OcrStage:
         }
         media = self.resolver.resolve(needed)
 
-        out = {k: [] for k in EXT_SCHEMA.names}
+        out = []
         for doc_id, spans in zip(doc_ids, spans_col):
-            out["doc_id"].append(doc_id)
             try:
                 ext, regions, metrics = extract_spans(
                     {"doc_id": doc_id, "spans": spans}, media, self.engine
                 )
-                out["ext_spans"].append(ext)
-                out["regions"].append(regions)
-                out["sharpness_var"].append(metrics["sharpness_var"] if metrics else None)
-                out["contrast_std"].append(metrics["contrast_std"] if metrics else None)
-                out["brightness_mean"].append(metrics["brightness_mean"] if metrics else None)
-                out["error"].append("")
+                error = ""
             except Exception as e:  # continue-on-error, reference semantics
-                out["ext_spans"].append([])
-                out["regions"].append([])
-                out["sharpness_var"].append(None)
-                out["contrast_std"].append(None)
-                out["brightness_mean"].append(None)
-                out["error"].append(f"{type(e).__name__}: {e}")
-        result = pa.Table.from_pydict(out, schema=EXT_SCHEMA)
+                ext, regions, metrics = [], [], None
+                error = f"{type(e).__name__}: {e}"
+            out.append(
+                {
+                    "doc_id": doc_id,
+                    "ext_spans": ext,
+                    "regions": regions,
+                    "sharpness_var": metrics["sharpness_var"] if metrics else None,
+                    "contrast_std": metrics["contrast_std"] if metrics else None,
+                    "brightness_mean": metrics["brightness_mean"] if metrics else None,
+                    "error": error,
+                }
+            )
+        return out
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        import time as _time
+
+        _t0 = _time.perf_counter()
+        result = pa.Table.from_pylist(self.rows(batch), schema=EXT_SCHEMA)
         if self._metrics is not None:
             from ocr_service_ray.stages.metrics import record_batch
 
