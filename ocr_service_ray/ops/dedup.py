@@ -398,6 +398,28 @@ def minhash_lsh_candidates(
         n_docs = sig_rows.count()
     except Exception:
         n_docs = None
+
+    import ray.data as rd
+
+    id_type = None
+    ssch = sig_rows.schema()
+    if ssch is not None and getattr(ssch, "names", None):
+        t = ssch.types[ssch.names.index("id")]
+        id_type = t if isinstance(t, pa.DataType) else None
+
+    out_schema = pa.schema(
+        [
+            ("id_a", id_type or pa.int64()),
+            ("id_b", id_type or pa.int64()),
+            ("est_jaccard", pa.float64()),
+        ]
+    )
+
+    if n_docs == 0:
+        # no signatures, no pairs: skip the two exchanges and the two
+        # signature joins over nothing
+        return rd.from_arrow(out_schema.empty_table())
+
     nb = (
         32
         if not n_docs
@@ -420,12 +442,6 @@ def minhash_lsh_candidates(
     # hash join takes it — candidates, not the corpus, are the probe),
     # then one vectorized mean-equality verify per deduped pair.
     from ocr_service_ray.ops.relational import auto_join
-
-    id_type = None
-    ssch = sig_rows.schema()
-    if ssch is not None and getattr(ssch, "names", None):
-        t = ssch.types[ssch.names.index("id")]
-        id_type = t if isinstance(t, pa.DataType) else None
 
     # signatures travel the join as FIXED-SIZE BINARY (num_perm x 8 B
     # per row): acero rejects list<uint64> as a join non-key field,
@@ -459,14 +475,6 @@ def minhash_lsh_candidates(
     j = auto_join(cand, side("id_a"), on="id_a")
     j = auto_join(j, side("id_b"), on="id_b")
 
-    out_schema = pa.schema(
-        [
-            ("id_a", id_type or pa.int64()),
-            ("id_b", id_type or pa.int64()),
-            ("est_jaccard", pa.float64()),
-        ]
-    )
-
     def _sig_mat(arr) -> np.ndarray:
         # fixed-size-binary column -> (n, num_perm) uint64, zero-copy
         # from the values buffer (offset-aware for sliced arrays);
@@ -489,8 +497,6 @@ def minhash_lsh_candidates(
         keep = est >= threshold
         out = t.select(["id_a", "id_b"]).filter(pa.array(keep))
         return out.append_column("est_jaccard", pa.array(est[keep]))
-
-    import ray.data as rd
 
     # schema anchor: a dup-free corpus yields ZERO candidate pairs and
     # a zero-block (schema-less) result otherwise — same landmine as

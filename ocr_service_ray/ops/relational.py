@@ -239,39 +239,23 @@ def auto_join(
         # nothing) and must yield an empty/null-extended result, not a
         # crash: derive the payload schema from sm.schema() (known
         # post-materialize) and short-circuit both tiers.
-        sch = sm.schema()
-        if sch is None or not getattr(sch, "names", None):
-            # an all-empty materialized dataset can lose its schema
-            # through map_batches; the pre-materialize input still
-            # knows it — apply the small_on→on rename by hand
-            sch = small_ds.schema()
-
-            class _R:
-                names = [
-                    on if n == (small_on or on) else n for n in sch.names
-                ]
-                types = list(sch.types)
-
-            base = _R
-        else:
-            base = getattr(sch, "base_schema", sch)
-        if isinstance(base, pa.Schema):
-            extra = [(f.name, f.type) for f in base if f.name != on]
-        else:  # ray Schema / PandasBlockSchema: arrow or numpy dtypes
-            extra = [
-                (n, t if isinstance(t, pa.DataType) else pa.from_numpy_dtype(t))
-                for n, t in zip(base.names, base.types)
-                if n != on
-            ]
+        extra = _payload_fields(sm, small_ds, {on, small_on or on})
 
         def _extend(b: pa.Table, nrows: int) -> pa.Table:
-            for n, t in extra:
+            for n, t in extra or ():
                 b = b.append_column(n, pa.nulls(nrows, t))
             return b
 
         if how == "inner":
+            # nothing can match, so the result is empty whether or not
+            # the payload columns are known
             return large_ds.map_batches(
                 lambda b: _extend(b.slice(0, 0), 0), batch_format="pyarrow"
+            )
+        if extra is None:
+            raise ValueError(
+                f"auto_join(how={how!r}): the build side is empty and has "
+                "no schema, so the columns to null-extend are unknown"
             )
         return large_ds.map_batches(
             lambda b: _extend(b, len(b)), batch_format="pyarrow"
@@ -302,6 +286,30 @@ def auto_join(
         return out
 
     return large_ds.map_batches(gather_join, batch_format="pyarrow")
+
+
+def _payload_fields(sm, small_ds, keys: set):
+    """``(name, arrow type)`` of an empty build side's non-key columns.
+    An all-empty materialized dataset can lose its schema through
+    ``map_batches``, so the pre-materialize input is asked next (its
+    key may still carry the ``small_on`` name, hence the key SET).
+    None when neither knows a schema: a dataset with no blocks at all,
+    such as an empty source run through a map."""
+    for ds in (sm, small_ds):
+        sch = ds.schema()
+        if sch is not None and getattr(sch, "names", None):
+            break
+    else:
+        return None
+    base = getattr(sch, "base_schema", sch)
+    if isinstance(base, pa.Schema):
+        fields = [(f.name, f.type) for f in base]
+    else:  # ray Schema / PandasBlockSchema: arrow or numpy dtypes
+        fields = [
+            (n, t if isinstance(t, pa.DataType) else pa.from_numpy_dtype(t))
+            for n, t in zip(base.names, base.types)
+        ]
+    return [(n, t) for n, t in fields if n not in keys]
 
 
 def distinct_values(ds, col: str) -> list:

@@ -8,14 +8,18 @@ deduplicated, decontaminated, mix-scheduled training corpus.
         ──► near dedup    (MinHash-LSH pairs → connected components →
                            one canonical doc per cluster)
         ──► decontaminate (n-gram overlap vs an eval set; optional)
-        ──► mix schedule  (deterministic weighted source interleave)
+        ──► mix schedule  (deterministic weighted source interleave,
+                           joined back through the budget-tiered
+                           auto_join: gather-broadcast, or a hash join
+                           past ``broadcast_budget``)
 
 Every stage is an already-tested operator with its own oracle; the
 pipeline adds only composition and a stage-count summary. 100 TB
 shape notes per stage live in the operator modules — nothing here
 materializes the corpus: the only driver-side state is the bounded
-drop/keep sets (duplicates, near-dup clusters, contaminated ids) and
-the per-stage counts in the summary.
+drop/keep sets (duplicates, near-dup clusters, contaminated ids), the
+mix rank table when it fits ``broadcast_budget``, and the per-stage
+counts in the summary.
 
 ``counts=True`` executes one ``count()`` per stage boundary for the
 summary — each count runs that stage's plan once (lazy datasets
@@ -159,6 +163,13 @@ def curate_corpus(
       machinery. The driver pull is bounded by the budget by
       construction, so "auto" is scale-safe at any duplicate rate
       while keeping small/clean corpora on the cheap path.
+
+    ``broadcast_budget`` bounds both driver pulls of the pipeline: the
+    dup-group table above (``exact_keep="auto"``) and the mix rank
+    table (one row per survivor, when ``mix_weights`` is given), which
+    ``relational.auto_join`` pulls and gathers per batch at or under
+    the budget (and under its 128 MiB byte budget) and hash-joins above
+    it.
     """
     import ray
 
@@ -427,9 +438,10 @@ def curate_corpus(
 
     # 5 — mix schedule (optional): deterministic interleave key.
     if mix_weights:
-        # The mix join's two sides SHARE lineage — without the pin the
-        # plan executes every upstream actor pool twice concurrently
-        # (and can deadlock a small cluster on pool minimums).
+        # auto_join reads `near` twice: once to compute the rank table
+        # and once as the probe. Without the pin the decontamination
+        # plan (with its actor pools) runs once per read; `near` alone
+        # is already pinned above.
         if eval_ds is not None:
             near = pin(near, "decontaminated")
         ranked = interleave_by_weight(
@@ -438,10 +450,16 @@ def curate_corpus(
             source_col=source_col,
             order_col=id_col,
         )
-        from ocr_service_ray.ops.relational import hash_join
+        from ocr_service_ray.ops.relational import auto_join
 
-        near = hash_join(
-            near, ranked.select_columns([id_col, "rank", "mix_key"]), on=id_col
+        # one row per survivor, three int64 columns: within the budget
+        # it is pulled once and gathered per batch with no exchange;
+        # past it, the key-partitioned hash join takes it
+        near = auto_join(
+            near,
+            ranked.select_columns([id_col, "rank", "mix_key"]),
+            on=id_col,
+            budget=broadcast_budget,
         )
         summary["final"] = stage_count(near)
     else:

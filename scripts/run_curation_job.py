@@ -59,8 +59,9 @@ def main() -> None:
                     help="exact-dedup keep-filter tier (curate only); "
                          "'auto' picks by --broadcast-budget")
     ap.add_argument("--broadcast-budget", type=int, default=1_000_000,
-                    help="max dup-group rows pulled to the driver before "
-                         "the keep-filter switches to the join tier")
+                    help="max rows pulled to the driver before the "
+                         "exact keep-filter (dup groups) and the mix join "
+                         "(rank table) switch to their join tiers")
     args = ap.parse_args()
 
     # resume fast path: the whole job already committed — nothing to do

@@ -73,6 +73,70 @@ def test_curate_no_optional_stages(ray_session):
     assert "mix_key" not in df.columns
 
 
+
+def test_mix_join_tiers_equal(ray_session):
+    """The mix schedule's rank-table join takes auto_join's gather
+    tier at the default budget and the hash tier at budget 0: both
+    give the same rows, the same column order and int64 rank/mix_key,
+    and both drop the doc whose source is not in the weights."""
+    import pandas as pd
+    import ray.data as rd
+
+    from ocr_service_ray.pipelines.curate import curate_corpus
+
+    corpus = _corpus()
+    corpus = pa.concat_tables(
+        [
+            corpus,
+            pa.table(
+                {
+                    "doc_id": [8],
+                    "text": ["out of mix " + "p q r s t u v w"],
+                    "source": ["c"],
+                }
+            ),
+        ]
+    )
+    outs = {}
+    for label, budget in {"broadcast": 1_000_000, "hash": 0}.items():
+        out, summary = curate_corpus(
+            rd.from_arrow(corpus).repartition(3),
+            rd.from_arrow(_eval()),
+            mix_weights={"a": 2, "b": 1},
+            broadcast_budget=budget,
+        )
+        assert summary["after_decontam"] == 4  # doc 8 is still in
+        assert summary["final"] == 3
+        outs[label] = out.to_pandas().sort_values("doc_id").reset_index(drop=True)
+    bc, hj = outs["broadcast"], outs["hash"]
+    assert list(bc.columns) == list(hj.columns) == [
+        "doc_id", "text", "source", "rank", "mix_key"
+    ]
+    pd.testing.assert_frame_equal(bc, hj)
+    assert bc["doc_id"].tolist() == [1, 3, 7]  # doc 8 (source c) dropped
+    for df in (bc, hj):
+        assert str(df["rank"].dtype) == str(df["mix_key"].dtype) == "int64"
+
+
+@pytest.mark.parametrize("mix", [None, {"a": 2, "b": 1}])
+def test_curate_degenerate_corpus_empty(ray_session, mix):
+    """Every doc fails the repetition rules: each later stage sees an
+    empty, schema-less dataset (the LSH signature join and the mix
+    join's build side included) and the result is empty, not an
+    error."""
+    import ray.data as rd
+
+    from ocr_service_ray.pipelines.curate import curate_corpus
+
+    rep = " ".join(["a"] * 20)
+    corpus = pa.table(
+        {"doc_id": [1, 2, 3], "text": [rep] * 3, "source": ["a", "b", "a"]}
+    )
+    out, summary = curate_corpus(
+        rd.from_arrow(corpus), counts=False, exact_keep="auto", mix_weights=mix
+    )
+    assert len(out.to_pandas()) == 0
+
 def test_exact_keep_join_equals_broadcast(ray_session):
     """The 100 TB exact-keep strategy (bloom route + key-partitioned
     left-outer join, no driver pull of the dup-group table) must equal

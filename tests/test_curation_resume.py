@@ -29,7 +29,7 @@ def _corpus():
     return pa.table(rows)
 
 
-def _run(ds_factory, staging, resume, exact_keep="join"):
+def _run(ds_factory, staging, resume, exact_keep="join", **kwargs):
     from ocr_service_ray.pipelines.curate import curate_corpus
 
     out, summary = curate_corpus(
@@ -38,9 +38,25 @@ def _run(ds_factory, staging, resume, exact_keep="join"):
         staging_path=staging,
         resume=resume,
         exact_keep=exact_keep,
+        **kwargs,
     )
     df = out.to_pandas().sort_values("doc_id").reset_index(drop=True)
     return df, summary
+
+
+def _crash_after(full_stg, crash_stg, committed, torn):
+    """Staging dir of a run that died after committing ``committed``
+    but before committing ``torn`` (a torn ``.tmp``, no manifest)."""
+    os.makedirs(crash_stg)
+    for name in committed:
+        shutil.copytree(
+            os.path.join(full_stg, name), os.path.join(crash_stg, name)
+        )
+        shutil.copy(
+            os.path.join(full_stg, name + ".manifest.json"),
+            os.path.join(crash_stg, name + ".manifest.json"),
+        )
+    os.makedirs(os.path.join(crash_stg, torn + ".tmp"))
 
 
 def test_curate_resume_byte_identical(ray_session, tmp_path):
@@ -64,19 +80,11 @@ def test_curate_resume_byte_identical(ray_session, tmp_path):
         assert p["upstream"] in ["input"] + phase_names  # lineage chain
 
     # simulated crash: the run died after committing quality/dup_groups/
-    # bloom_tagged/exact but BEFORE committing "near" (torn .tmp + no
-    # manifest)
+    # bloom_tagged/exact but BEFORE committing "near"
     crash_stg = str(tmp_path / "stg_crash")
-    os.makedirs(crash_stg)
-    for name in ["quality", "dup_groups", "bloom_tagged", "exact"]:
-        shutil.copytree(
-            os.path.join(full_stg, name), os.path.join(crash_stg, name)
-        )
-        shutil.copy(
-            os.path.join(full_stg, name + ".manifest.json"),
-            os.path.join(crash_stg, name + ".manifest.json"),
-        )
-    os.makedirs(os.path.join(crash_stg, "near.tmp"))  # torn write
+    _crash_after(
+        full_stg, crash_stg, ["quality", "dup_groups", "bloom_tagged", "exact"], "near"
+    )
 
     res_df, res_summary = _run(ds, crash_stg, resume=True)
     by_phase = {p["phase"]: p for p in res_summary["phases"]}
@@ -90,6 +98,54 @@ def test_curate_resume_byte_identical(ray_session, tmp_path):
         res_df[sorted(res_df.columns)],
         check_dtype=False,
     )
+
+
+def test_curate_resume_mixed_decontaminated_byte_identical(ray_session, tmp_path):
+    """The production job shape: an eval split and mix weights add the
+    ``decontaminated`` phase, and the mix rank table is joined back
+    after it. A run killed after ``near`` commits resumes to the same
+    rows, columns and dtypes as the full run."""
+    import pandas as pd
+    import ray.data as rd
+
+    corpus = _corpus()
+    # doc 1003's text is the eval doc: decontamination drops it
+    eval_tbl = pa.table(
+        {"doc_id": [9000], "text": [" ".join(f"u3x{j}" for j in range(14))]}
+    )
+
+    def ds():
+        return rd.from_arrow(corpus).repartition(4)
+
+    def run(stg, resume):
+        return _run(
+            ds,
+            stg,
+            resume,
+            eval_ds=rd.from_arrow(eval_tbl),
+            mix_weights={"s0": 2, "s1": 1},
+        )
+
+    full_stg = str(tmp_path / "stg_full")
+    ref_df, ref_summary = run(full_stg, resume=False)
+    assert [p["phase"] for p in ref_summary["phases"]] == [
+        "quality", "dup_groups", "bloom_tagged", "exact", "near", "decontaminated"
+    ]
+    assert len(ref_df) == 21 and 1003 not in set(ref_df["doc_id"])
+    assert list(ref_df.columns) == ["doc_id", "text", "source", "rank", "mix_key"]
+
+    crash_stg = str(tmp_path / "stg_crash")
+    _crash_after(
+        full_stg,
+        crash_stg,
+        ["quality", "dup_groups", "bloom_tagged", "exact", "near"],
+        "decontaminated",
+    )
+    res_df, res_summary = run(crash_stg, resume=True)
+    by_phase = {p["phase"]: p for p in res_summary["phases"]}
+    assert by_phase["near"]["resumed"] is True
+    assert by_phase["decontaminated"]["resumed"] is False  # recomputed
+    pd.testing.assert_frame_equal(ref_df, res_df)
 
 
 def test_curate_resume_skips_thunk_work(ray_session, tmp_path):

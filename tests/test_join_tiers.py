@@ -5,7 +5,8 @@
 - ``auto_join``'s budget tier (bounded driver pull + broadcast vs
   key-partitioned hash join) returns identical rows AND an identical
   schema either way — the contract that lets callers switch tier by
-  data size without downstream changes;
+  data size without downstream changes; against an empty build side
+  with no schema an inner join is empty;
 - ``bucketed_apply`` (whole-bucket vectorized fold) agrees with
   ``bucketed_map_groups`` (per-group fn) on a fold expressed both
   ways, and both — with ``dedupe_pairs`` — match pandas'
@@ -236,6 +237,23 @@ def test_auto_join_gather_string_payload_and_dup_fallback(ray_session):
     assert len(out_d) == 4  # two large k=2 rows × two build rows
     assert sorted(out_d["tag"]) == ["a", "a", "b", "b"]
 
+
+
+def test_auto_join_empty_schemaless_build_side(ray_session):
+    """A build side with no blocks at all has no schema: an inner join
+    against it is empty; an outer join cannot know the columns it
+    should null-extend and says so."""
+    import ray.data as rd
+
+    from ocr_service_ray.ops.relational import auto_join
+
+    large = rd.from_pandas(pd.DataFrame({"k": [1, 2, 3], "v": [1, 2, 3]}))
+    empty = rd.from_items([])
+    assert empty.schema() is None
+    out = auto_join(large, empty, on="k", small_on="kk").to_pandas()
+    assert len(out) == 0
+    with pytest.raises(ValueError, match="no schema"):
+        auto_join(large, empty, on="k", small_on="kk", how="left")
 
 def test_bcast_stage_tiers_equal(ray_session):
     import pyarrow as pa
