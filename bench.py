@@ -191,7 +191,6 @@ def run_bench(flagship_only: bool = False) -> dict:
             GENERATE_MEDIA,
             kernel_batch_size=128,
             kernel_concurrency=fused_pool_size(NUM_CPUS),
-            fused=True,
         )
 
     # One untimed full pass warms Ray worker processes (imports, actor

@@ -154,7 +154,7 @@ class OnnxOCR:
     construction fails fast (actor ``__init__`` smoke-tests the
     pipeline wiring). On a real cluster the adapter loads the
     detector+recognizer sessions ONCE per actor — pass
-    ``num_gpus=fraction`` through the OCR stage's ``map_batches`` for
+    ``num_gpus=fraction`` through the fused stage's ``map_batches`` for
     GPU placement — and emits the same region shape as
     :class:`SyntheticOCR` so every downstream kernel is unchanged.
     """

@@ -3,20 +3,21 @@
 (``/root/reference/core/processor.py:97-468``) as one streaming Ray
 Data plan (SURVEY.md §3.1):
 
-    read(docs)                                 # spans stay list-typed per row
-      → map_batches(OcrStage, concurrency=…)   # actor pool: resolve media + OCR
-      → map_batches(KernelStage, concurrency=…)# assemble/correct/validate/quality
-      → write / aggregate                      # caller-chosen sink
+    read(docs)                                    # spans stay list-typed per row
+      → map_batches(FusedExtractStage, concurrency=…)
+                                                  # actor pool: resolve media + OCR
+                                                  # + assemble/correct/validate/quality
+      → write / aggregate                         # caller-chosen sink
 
 Design points for 100 TB scale:
 - spans stay list-typed inside the row, so the per-document page merge
   (aggregation A1) is an in-kernel fold — NO shuffle anywhere on the
   per-document path;
-- the OCR stage uses a SMALL batch size (media-heavy rows) while the
-  kernel stage uses a larger one (text-only rows): skew from
-  media-heavy documents is absorbed by fine task granularity instead
-  of a pre-shuffle (the streaming executor load-balances batches
-  across the pool);
+- OCR and the kernels run in ONE actor (operator fusion): OCR rows go
+  straight to the kernels as Python rows, with no intermediate Arrow
+  table; skew from media-heavy documents is absorbed by batch
+  granularity instead of a pre-shuffle (the streaming executor
+  load-balances batches across the pool);
 - the corrections DB and (at test scale) the media registry are
   broadcast once via ``ray.put`` / constructor kwargs, never per
   batch; at scale the media side switches to the pushed-down ``scan``
@@ -29,10 +30,13 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ocr_service_ray import schema
 from ocr_service_ray.sources.synth import corrections_entries
-from ocr_service_ray.stages.extract import KernelStage
-from ocr_service_ray.stages.ocr import OcrStage, media_table_to_registry
+from ocr_service_ray.stages.extract import FusedExtractStage
+from ocr_service_ray.stages.ocr import media_table_to_registry
+
+# Target rows per block when an in-memory Arrow table is split up
+# front (into at most 32 blocks).
+SPLIT_ROWS = 32
 
 
 def read_documents(path: str, columns: list[str] | None = None):
@@ -85,39 +89,33 @@ def run_extraction(
     corrections: list[tuple[str, str]] | None = None,
     *,
     engine: str = "synthetic",
-    required_fields: list[str] | None = None,
-    ocr_batch_size: int = 32,
     kernel_batch_size: int = 128,
-    ocr_concurrency=(1, 8),
-    kernel_concurrency=(1, 8),
-    fused: bool = False,
-    metrics_name: str | None = None,
+    kernel_concurrency=(1, 16),
+    fused: bool = True,
 ):
-    """Build the lazy extraction plan.
-
-    Pool minimums are 1 (not 2): each pool's minimum actors are
-    reserved UP FRONT by the streaming executor, so with two chained
-    pools the combined minimum must stay below the smallest session's
-    CPU count or upstream task operators (read_parquet, derive) are
-    starved of CPUs and the plan stalls — observed as a deadlock at
-    ``num_cpus=4`` with (2,8)+(2,8). The autoscaler still grows each
-    pool to 8 when CPUs are free.
+    """Build the lazy extraction plan: one ``map_batches`` over
+    :class:`FusedExtractStage`, an actor pool that autoscales within
+    ``kernel_concurrency``.
 
     ``docs``: a Dataset, a path, or an Arrow table.
     ``media``: an Arrow media table / registry dict (→ broadcast) or a
     path to the media dataset (→ per-batch pushed-down scan).
+    ``fused`` is accepted only as ``True``, the one layout there is.
     Returns a Dataset with ``schema.OUT_SCHEMA`` — not yet executed.
     """
     import ray
     import ray.data as rd
 
+    if fused is not True:
+        raise ValueError(f"fused={fused!r}: the fused actor is the only extraction layout")
+
     if isinstance(docs, str):
         ds = read_documents(docs)
     elif isinstance(docs, pa.Table):
         # Split an in-memory table into multiple blocks up front so the
-        # actor pools actually fan out (one pa.Table → one block → one
+        # actor pool actually fans out (one pa.Table → one block → one
         # task otherwise).
-        n_chunks = max(1, min(32, docs.num_rows // max(1, ocr_batch_size)))
+        n_chunks = max(1, min(32, docs.num_rows // SPLIT_ROWS))
         step = -(-docs.num_rows // n_chunks)
         ds = rd.from_arrow(
             [docs.slice(i * step, step) for i in range(n_chunks)]
@@ -133,50 +131,18 @@ def run_extraction(
         media_source = media  # path → ScanMediaResolver inside the actor
 
     corrections = corrections if corrections is not None else corrections_entries()
-
-    if fused:
-        from ocr_service_ray.stages.extract import FusedExtractStage
-
-        return ds.map_batches(
-            FusedExtractStage,
-            batch_format="pyarrow",
-            batch_size=kernel_batch_size,
-            concurrency=kernel_concurrency,
-            num_cpus=1,
-            fn_constructor_kwargs={
-                "media_source": media_source,
-                "corrections": corrections,
-                "engine": engine,
-                "required_fields": required_fields,
-                "metrics_name": metrics_name,
-            },
-        )
-
-    ds = ds.map_batches(
-        OcrStage,
-        batch_format="pyarrow",
-        batch_size=ocr_batch_size,
-        concurrency=ocr_concurrency,
-        num_cpus=1,
-        fn_constructor_kwargs={
-            "media_source": media_source,
-            "engine": engine,
-            "metrics_name": metrics_name,
-        },
-    )
-    ds = ds.map_batches(
-        KernelStage,
+    return ds.map_batches(
+        FusedExtractStage,
         batch_format="pyarrow",
         batch_size=kernel_batch_size,
         concurrency=kernel_concurrency,
         num_cpus=1,
         fn_constructor_kwargs={
+            "media_source": media_source,
             "corrections": corrections,
-            "required_fields": required_fields,
-            "metrics_name": metrics_name,
+            "engine": engine,
         },
     )
-    return ds
 
 
 def corpus_summary(out_ds) -> dict:

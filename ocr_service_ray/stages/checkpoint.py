@@ -19,8 +19,10 @@ point, so a killed run leaves either a complete shard or an ignorable
 
 The manifest carries per-partition lineage + throughput (north_rule
 "per-partition lineage + metrics emitted"): input description, row
-count, byte size, wall time, docs/sec, and optionally a content hash
-of the (doc_id, span-sequence) pairs for byte-stability checks.
+count, byte size, wall time, docs/sec, per-block stats of every
+operator the shard ran (``blocks``, read from Ray Data's own stats),
+and optionally a content hash of the (doc_id, span-sequence) pairs for
+byte-stability checks.
 
 Scale note: each shard is itself a fully streaming, cluster-wide
 Dataset job; up to ``max_in_flight`` shards run concurrently (driver
@@ -111,6 +113,31 @@ def _shard_lineage(shard) -> dict:
     return {"kind": type(shard).__name__}
 
 
+def _block_stats(ds) -> list[dict]:
+    """Per-block stats of every operator an executed dataset ran,
+    upstream first: its name, then Ray's per-block ``wall_time`` (s) and
+    ``output_num_rows``, each as min/max/mean/sum. Ray Data records
+    these anyway; a written dataset executes a copy of itself
+    (``_write_ds``), which holds them."""
+    out: list[dict] = []
+
+    def walk(summary) -> None:
+        for parent in summary.parents:
+            walk(parent)
+        out.extend(
+            {
+                "name": op.operator_name,
+                "wall_time": op.wall_time,
+                "output_num_rows": op.output_num_rows,
+            }
+            for op in summary.operators_stats
+            if op.wall_time is not None
+        )
+
+    walk((getattr(ds, "_write_ds", None) or ds)._get_stats_summary())
+    return out
+
+
 def _run_one_shard(i, shard, build_pipeline, out_dir, hash_content) -> dict:
     """Execute one shard end-to-end: build → write to ``.tmp`` →
     stage manifest → atomic rename (the commit point). Returns the
@@ -186,6 +213,7 @@ def _run_one_shard(i, shard, build_pipeline, out_dir, hash_content) -> dict:
         "t_end": round(t_start + wall, 3),
         "t_wall_sec": round(wall, 4),
         "docs_per_sec": round(rows / wall, 3) if wall > 0 else None,
+        "blocks": _block_stats(ds),
     }
     if hash_content:
         manifest["span_hash"] = span_content_hash(tmp)

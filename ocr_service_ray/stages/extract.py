@@ -1,14 +1,18 @@
-"""Kernel stage: assemble + correct + validate + quality per document.
+"""Extraction stage: OCR + assemble + correct + validate + quality per
+document, in one actor.
 
-Stateless pure-kernel work (reference steps c-j of
-``/root/reference/core/processor.py:202-376``), run as an actor pool
-only so the corrections DB is constructed ONCE per actor from the
-broadcast entries (``fn_constructor_kwargs``) instead of being
-re-shipped per task. The per-document string kernels are inherently
+``FusedExtractStage`` is the actor ``pipelines/flagship.run_extraction``
+passes to ``map_batches``. It holds an ``OcrStage`` (engine + media
+resolver) and a ``KernelStage`` (the corrections DB, constructed ONCE
+per actor from the broadcast entries in ``fn_constructor_kwargs``
+instead of being re-shipped per task), and passes ``OcrStage.rows``
+straight to ``KernelStage.__call__``: no Arrow table is built between
+OCR and the kernels. The per-document string kernels (reference steps
+c-j of ``/root/reference/core/processor.py:202-376``) are inherently
 sequential Python (the reference's order-dependent replace semantics,
 SURVEY.md §7.4-1); the regex machinery is precompiled at module import.
 
-``KernelStage.table`` works on a batch of EXT rows in three steps:
+``KernelStage.__call__`` works on a batch of EXT rows in three steps:
 
 1. assemble and correct every row;
 2. build the corrected texts once as the Arrow ``full_text`` column
@@ -21,13 +25,9 @@ SURVEY.md §7.4-1); the regex machinery is precompiled at module import.
    score quality, and emit one tuple per row in OUT_SCHEMA order,
    transposed into the output columns.
 
-``FusedExtractStage`` passes ``OcrStage.rows`` straight to
-``KernelStage.__call__``, so no EXT_SCHEMA table is built between the
-two; the two-pool layout's ``OcrStage.__call__`` / ``KernelStage.__call__``
-are Arrow wrappers around the same two functions. ``perfbench/trace.py``
-times ``KernelStage.__call__`` (once per batch) and the six kernels by
-patching this module's globals, so the kernels must be called through
-them (``tests/test_trace_hooks.py`` pins both).
+``perfbench/trace.py`` times ``KernelStage.__call__`` (once per batch)
+and the six kernels by patching this module's globals, so the kernels
+must be called through them (``tests/test_trace_hooks.py`` pins both).
 """
 
 from __future__ import annotations
@@ -71,22 +71,13 @@ def _error_record(row: dict) -> tuple:
 
 
 class KernelStage:
-    """EXT rows (or an EXT_SCHEMA batch) in → OUT_SCHEMA batch out."""
+    """EXT rows in → OUT_SCHEMA batch out."""
 
-    def __init__(
-        self,
-        corrections: list[tuple[str, str]],
-        required_fields=None,
-        metrics_name=None,
-    ):
+    def __init__(self, corrections: list[tuple[str, str]]):
         self.db = CorrectionsDB([tuple(p) for p in corrections])
-        self.required_fields = required_fields
-        from ocr_service_ray.stages.metrics import resolve_collector
-
-        self._metrics = resolve_collector(metrics_name)
         _tune_worker_gc()
 
-    def table(self, rows: list[dict]) -> pa.Table:
+    def __call__(self, rows: list[dict]) -> pa.Table:
         """EXT rows (``OcrStage.rows``) → OUT_SCHEMA table, one tuple per
         row in OUT_SCHEMA order, transposed into the columns."""
         texts = []  # (assembled, full_text, corrections), None for an error row
@@ -114,9 +105,7 @@ class KernelStage:
         # validation and important-data extraction reuse the same
         # full-text regex passes (16 → 10 scans per doc).
         scan: dict = {}
-        validation = validate_critical_fields(
-            full_text, self.required_fields, _scan=scan, guards=guards
-        )
+        validation = validate_critical_fields(full_text, _scan=scan, guards=guards)
         important = extract_important_data(full_text, _scan=scan, guards=guards)
         image_quality = (
             check_image_quality(
@@ -156,52 +145,18 @@ class KernelStage:
             "",
         )
 
-    def __call__(self, batch: pa.Table | list[dict]) -> pa.Table:
-        import time as _time
-
-        _t0 = _time.perf_counter()
-        rows = batch if isinstance(batch, list) else batch.to_pylist()
-        result = self.table(rows)
-        if self._metrics is not None:
-            from ocr_service_ray.stages.metrics import record_batch
-
-            record_batch(self._metrics, "KernelStage", result.num_rows, _t0)
-        return result
-
 
 class FusedExtractStage:
-    """OCR + kernels in ONE actor (``__call__`` chains the two stages'
-    batch functions). Used when the OCR engine is CPU-bound: a single
-    pool sized to the node is balanced by construction — no
-    inter-pool handoff, half the actor spawns, and the same CPU
-    fraction at every cluster size (which is what makes N→4N scaling
-    flat). Keep the two-pool layout (``fused=False``) when the engine
-    needs its own resource shape (GPUs, bigger heaps)."""
+    """``map_batches`` actor: documents batch in, OUT_SCHEMA batch out.
+    ``__call__`` chains the OCR rows into the kernels. A pool of these
+    sized to the node (``flagship.fused_pool_size``) takes the same CPU
+    fraction at every cluster size, which keeps N→4N scaling flat."""
 
-    def __init__(
-        self,
-        media_source,
-        corrections,
-        engine: str = "synthetic",
-        required_fields=None,
-        metrics_name=None,
-    ):
+    def __init__(self, media_source, corrections, engine: str = "synthetic"):
         from ocr_service_ray.stages.ocr import OcrStage
 
-        # the fused stage reports as one block unit under its own name
         self.ocr = OcrStage(media_source, engine)
-        self.kernel = KernelStage(corrections, required_fields)
-        from ocr_service_ray.stages.metrics import resolve_collector
-
-        self._metrics = resolve_collector(metrics_name)
+        self.kernel = KernelStage(corrections)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import time as _time
-
-        _t0 = _time.perf_counter()
-        result = self.kernel(self.ocr.rows(batch))
-        if self._metrics is not None:
-            from ocr_service_ray.stages.metrics import record_batch
-
-            record_batch(self._metrics, "FusedExtractStage", result.num_rows, _t0)
-        return result
+        return self.kernel(self.ocr.rows(batch))

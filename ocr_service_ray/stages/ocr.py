@@ -1,12 +1,12 @@
-"""OCR actor stage: media resolution + engine inference per batch.
+"""OCR stage: media resolution + engine inference per batch.
 
 The reference holds one OCR engine per process for its lifetime
 (``/root/reference/api/routes.py:28`` module singleton;
 ``core/ocr_engine.py:41-49`` engine config). The Ray-native analogue
-is an actor pool: this callable CLASS is passed to
-``Dataset.map_batches(OcrStage, concurrency=N, ...)`` — the engine
-and the media resolver are built once per actor in ``__init__``, and
-``__call__`` runs per batch.
+is an actor pool: ``stages/extract.FusedExtractStage`` builds one
+``OcrStage`` per actor — the engine and the media resolver are built
+once in ``__init__`` — and calls ``OcrStage.rows`` per batch, handing
+the rows straight to the kernels.
 
 Media resolution replaces the reference's on-disk file loads
 (``core/ocr_engine.py:84-119``). Two resolvers:
@@ -33,34 +33,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ocr_service_ray import schema
 from ocr_service_ray.engines import make_engine
 from ocr_service_ray.oracle import extract_spans
-
-EXT_SPAN = pa.struct(
-    [
-        ("kind", pa.string()),
-        ("text", pa.string()),
-        ("media_ref", pa.string()),
-        ("offset", pa.int32()),
-        ("confidence", pa.float64()),
-    ]
-)
-
-# Intermediate schema between the OCR stage and the kernel stage. Only
-# text + small floats cross the block boundary — decoded media stays
-# inside this stage (SURVEY.md §7.4-5).
-EXT_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("ext_spans", pa.list_(EXT_SPAN)),
-        ("regions", pa.list_(schema.REGION)),
-        ("sharpness_var", pa.float64()),
-        ("contrast_std", pa.float64()),
-        ("brightness_mean", pa.float64()),
-        ("error", pa.string()),
-    ]
-)
 
 
 def media_table_to_registry(media: pa.Table) -> dict[str, dict]:
@@ -114,10 +88,10 @@ GENERATE_MEDIA = "__generate__"
 
 
 class OcrStage:
-    """``map_batches`` actor: pyarrow batch of documents in, EXT_SCHEMA
-    batch out. Engine + resolver constructed once per actor."""
+    """Documents batch in, EXT rows out. Engine + resolver constructed
+    once per actor."""
 
-    def __init__(self, media_source, engine: str = "synthetic", metrics_name=None):
+    def __init__(self, media_source, engine: str = "synthetic"):
         if media_source == GENERATE_MEDIA:
             self.resolver = GenerativeMediaResolver()
         elif isinstance(media_source, str):
@@ -125,13 +99,14 @@ class OcrStage:
         else:
             self.resolver = BroadcastMediaResolver(media_source)
         self.engine = make_engine(engine)
-        from ocr_service_ray.stages.metrics import resolve_collector
-
-        self._metrics = resolve_collector(metrics_name)
 
     def rows(self, batch: pa.Table) -> list[dict]:
-        """Documents → EXT rows as dicts keyed by the EXT_SCHEMA names.
-        The fused stage hands these straight to ``KernelStage``."""
+        """Documents → EXT rows, one dict per document: ``doc_id``,
+        ``ext_spans`` (dicts of kind, text, media_ref, offset,
+        confidence), ``regions``, the three image metrics
+        (``sharpness_var``, ``contrast_std``, ``brightness_mean``, None
+        for an error row) and ``error``. The fused stage hands these
+        straight to ``KernelStage``."""
         doc_ids = batch["doc_id"].to_pylist()
         spans_col = batch["spans"].to_pylist()
         needed = {
@@ -164,14 +139,3 @@ class OcrStage:
                 }
             )
         return out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import time as _time
-
-        _t0 = _time.perf_counter()
-        result = pa.Table.from_pylist(self.rows(batch), schema=EXT_SCHEMA)
-        if self._metrics is not None:
-            from ocr_service_ray.stages.metrics import record_batch
-
-            record_batch(self._metrics, "OcrStage", result.num_rows, _t0)
-        return result

@@ -15,7 +15,12 @@ auto-initialises when no cluster address is set; when submitted via
 
 The job is resumable: re-submitting with ``--resume`` (default) skips
 partitions whose ``_manifest.json`` committed; each partition's
-manifest carries lineage + rows + docs/sec (stages/checkpoint.py).
+manifest carries lineage + rows + docs/sec + per-block operator stats
+(stages/checkpoint.py). Each shard's extraction runs one fused actor
+pool that autoscales from one actor up to ``flagship.fused_pool_size``
+of the cluster's CPUs; the minimum of one leaves CPUs free for the
+upstream read/filter tasks of the two shards ``run_checkpointed`` keeps
+in flight.
 Output partitions are cost-balanced when ``--cost-balance`` is set
 (ops/skew.py): heavy media documents are round-robined across shards
 so a restart never re-runs one disproportionately expensive partition.
@@ -41,21 +46,6 @@ def main() -> None:
     ap.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True)
     ap.add_argument("--hash-content", action="store_true")
     ap.add_argument("--cost-balance", action="store_true")
-    ap.add_argument(
-        "--block-metrics",
-        action="store_true",
-        help="collect per-BLOCK throughput records (stage, rows, wall_ms) "
-        "via a named zero-CPU collector actor and write the per-stage "
-        "summary to <output>/_block_metrics.json (north_rule: metrics "
-        "emitted per block)",
-    )
-    ap.add_argument(
-        "--fused",
-        action="store_true",
-        help="one fused extraction pool sized by flagship.fused_pool_size "
-        "(the bench-tuned steady-state configuration); default keeps the "
-        "autoscaling two-stage pools",
-    )
     args = ap.parse_args()
 
     import ray
@@ -116,39 +106,16 @@ def main() -> None:
         shards = shard_dirs
         media = os.path.join(args.input, "media")
 
-    extract_kwargs: dict = {}
-    if args.fused:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        extract_kwargs = dict(
-            fused=True,
-            kernel_concurrency=fused_pool_size(ncpu),
-            kernel_batch_size=128,
-        )
-
-    collector = None
-    if args.block_metrics:
-        from ocr_service_ray.stages.metrics import create_collector
-
-        metrics_name = f"blockmetrics_{os.getpid()}"
-        collector = create_collector(metrics_name)
-        extract_kwargs["metrics_name"] = metrics_name
-
+    pool_size = fused_pool_size(int(ray.cluster_resources().get("CPU", 8)))
     summary = run_checkpointed(
         shards,
-        lambda s: run_extraction(s, media, engine=args.engine, **extract_kwargs),
+        lambda s: run_extraction(
+            s, media, engine=args.engine, kernel_concurrency=(1, pool_size)
+        ),
         args.output,
         resume=args.resume,
         hash_content=args.hash_content,
     )
-    if collector is not None:
-        from ocr_service_ray.stages.metrics import summarize
-
-        block_summary = summarize(ray.get(collector.drain.remote()))
-        summary["block_metrics"] = block_summary
-        with open(
-            os.path.join(args.output, "_block_metrics.json"), "w", encoding="utf-8"
-        ) as f:
-            json.dump(block_summary, f, indent=2)
     print(json.dumps(summary))
 
 

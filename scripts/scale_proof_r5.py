@@ -476,7 +476,6 @@ def flagship(args) -> dict:
             GENERATE_MEDIA,
             kernel_batch_size=128,
             kernel_concurrency=fused_pool_size(NUM_CPUS),
-            fused=True,
         )
         if getattr(args, "sink", None):
             # the production shape: results stream to partitioned

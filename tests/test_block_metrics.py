@@ -1,51 +1,38 @@
-"""Per-block throughput metrics (stages/metrics.py): opt-in collector
-records one (stage, rows, wall_ms) per map_batches invocation; rows
-conserve per stage; the default pipeline never resolves a collector."""
+"""Per-block metrics live in each partition's ``_manifest.json``
+(``stages/checkpoint.py``): a ``blocks`` list read from Ray Data's own
+per-operator stats, one entry per executed operator. The extraction
+runs as exactly one fused operator, found by the ``ExtractStage``
+substring ``perfbench/skew.py`` looks for."""
 
-import numpy as np
-import pyarrow as pa
+import json
 
 
-def test_block_metrics_records_conserve_rows(ray_session):
-    import ray
-
+def test_manifest_blocks_conserve_rows(ray_session, tmp_path):
     from ocr_service_ray.pipelines.flagship import run_extraction
     from ocr_service_ray.sources.synth import corrections_entries, generate_corpus
-    from ocr_service_ray.stages.metrics import create_collector, summarize
+    from ocr_service_ray.stages.checkpoint import (
+        manifest_path,
+        run_checkpointed,
+        table_shards,
+    )
 
     docs, media = generate_corpus(120, seed=3)
-    name = "bm_test_collector"
-    collector = create_collector(name)
-    out = run_extraction(
-        docs, media, corrections_entries(), metrics_name=name
+    out = str(tmp_path / "out")
+    summary = run_checkpointed(
+        table_shards(docs, 2),
+        lambda s: run_extraction(s, media, corrections_entries()),
+        out,
     )
-    n = out.count()
-    assert n == 120
-    records = ray.get(collector.drain.remote())
-    s = summarize(records)
-    assert set(s) == {"OcrStage", "KernelStage"}
-    for stage in s.values():
-        assert stage["rows"] == 120
-        assert stage["n_blocks"] >= 1
-        assert stage["total_ms"] > 0
-        assert stage["p95_block_ms"] >= stage["p50_block_ms"]
-    # drain empties the buffer
-    assert ray.get(collector.drain.remote()) == []
-    ray.kill(collector)
-
-
-def test_metrics_disabled_by_default(ray_session):
-    from ocr_service_ray.stages.ocr import GENERATE_MEDIA, OcrStage
-
-    stage = OcrStage(GENERATE_MEDIA)
-    assert stage._metrics is None
-
-
-def test_summarize_empty_and_single():
-    from ocr_service_ray.stages.metrics import summarize
-
-    assert summarize([]) == {}
-    s = summarize([("X", 10, 5.0)])
-    assert s["X"]["rows"] == 10
-    assert s["X"]["n_blocks"] == 1
-    assert s["X"]["rows_per_sec_busy"] == 2000.0
+    assert summary["rows"] == 120
+    for i in range(2):
+        with open(manifest_path(out, i), encoding="utf-8") as f:
+            manifest = json.load(f)
+        names = [b["name"] for b in manifest["blocks"]]
+        extract = [b for b in manifest["blocks"] if "ExtractStage" in b["name"]]
+        assert len(extract) == 1, names
+        assert not any("OcrStage" in n or "KernelStage" in n for n in names), names
+        (op,) = extract
+        assert op["output_num_rows"]["sum"] == manifest["rows"] == 60
+        wall = op["wall_time"]
+        assert set(wall) == set(op["output_num_rows"]) == {"min", "max", "mean", "sum"}
+        assert wall["max"] >= wall["mean"] > 0

@@ -1,6 +1,6 @@
 """Ray-private-surface canaries (VERDICT r3 directive #6).
 
-Two repo components pin PRIVATE Ray surfaces that a Ray upgrade can
+Three repo components pin PRIVATE Ray surfaces that a Ray upgrade can
 silently change:
 
 - ``rayfix.py`` monkeypatches ``hash_shuffle._shuffle_block`` and
@@ -12,6 +12,15 @@ silently change:
   actor task submission order is irrelevant because every actor
   reorders partitions by ``seq`` in a bounded buffer; the shuffled-
   dispatch test pins that reorder contract.
+- ``stages/checkpoint.py``'s manifest ``blocks`` and the benchmark's
+  per-operator metrics (``perfbench/common.py``) read Ray Data's stats
+  summary: ``Dataset._write_ds`` after a write, and
+  ``_get_stats_summary()``'s operator stats and parents. The manifest
+  is written after a shard's data and before its commit rename, so a
+  renamed stats method or field raises in every checkpointed shard and
+  no shard commits; a renamed ``_write_ds`` is silently skipped by the
+  ``getattr`` fallback and empties the block stats and the benchmark's
+  steady rate. The stats-surface test fails on either before a job does.
 """
 
 import inspect
@@ -156,3 +165,40 @@ def test_window_actor_ordering_under_shuffled_dispatch(ray_session):
     shuffled = run([4, 1, 3, 0, 2])
     assert len(in_order) > 0
     pd.testing.assert_frame_equal(in_order, shuffled)
+
+
+def test_dataset_stats_surface_canary(ray_session, tmp_path):
+    """If this fails, a Ray upgrade moved the stats surface read by
+    ``stages/checkpoint._block_stats`` and ``perfbench/common.py``:
+    update both to the new names."""
+    import ray.data as rd
+
+    class Identity:  # an actor pool map, which Ray does not fuse into the write
+        def __call__(self, batch):
+            return batch
+
+    tables = [pa.table({"x": np.arange(i * 16, (i + 1) * 16)}) for i in range(4)]
+    ds = rd.from_arrow(tables).map_batches(Identity, batch_format="pyarrow", concurrency=1)
+    ds.write_parquet(str(tmp_path / "out"))
+
+    written = getattr(ds, "_write_ds", None)
+    assert written is not None, "Dataset._write_ds is gone: a written dataset's stats moved"
+    summary = written._get_stats_summary()
+    assert isinstance(summary.parents, list), "stats summary lost .parents"
+    ops = []
+    todo = [summary]
+    while todo:
+        level = todo.pop()
+        todo.extend(level.parents)
+        ops.extend(level.operators_stats)
+    executed = [op for op in ops if op.wall_time is not None]
+    assert executed, f"no operator carries wall_time: {[op.operator_name for op in ops]}"
+    names = [op.operator_name for op in executed]
+    assert names.count("MapBatches(Identity)") == 1, names
+    for op in executed:
+        for field in ("wall_time", "output_num_rows"):
+            stats = getattr(op, field)
+            assert set(stats) >= {"min", "max", "mean", "sum"}, (op.operator_name, field, stats)
+    (mapped,) = [op for op in executed if op.operator_name == "MapBatches(Identity)"]
+    assert mapped.output_num_rows["sum"] == 64
+    assert mapped.wall_time["max"] >= mapped.wall_time["mean"] > 0

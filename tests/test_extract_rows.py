@@ -1,7 +1,7 @@
-"""The fused extract actor's rows path is output-identical to the
-two-pool Arrow path (``KernelStage(OcrStage(batch))``) and to the
-per-document oracle, and the narrowed correction passes equal their
-brute-force reference forms (the reference loops, kept here)."""
+"""The fused extract actor (OCR rows straight into the kernels) is
+output-identical to the per-document oracle, and the narrowed
+correction passes equal their brute-force reference forms (the
+reference loops, kept here)."""
 
 import json
 import random
@@ -18,8 +18,8 @@ from ocr_service_ray.kernels.correct import (
 )
 from ocr_service_ray.oracle import error_row, process_document
 from ocr_service_ray.sources.synth import corrections_entries, generate_corpus
-from ocr_service_ray.stages.extract import FusedExtractStage, KernelStage
-from ocr_service_ray.stages.ocr import OcrStage, media_table_to_registry
+from ocr_service_ray.stages.extract import FusedExtractStage
+from ocr_service_ray.stages.ocr import media_table_to_registry
 
 BATCH = 64
 
@@ -188,18 +188,14 @@ def _oracle(docs: pa.Table, registry: dict) -> pa.Table:
     return pa.Table.from_pylist(rows, schema=schema.OUT_SCHEMA)
 
 
-def test_rows_path_equals_two_pool_path_and_oracle():
+def test_rows_path_equals_oracle():
     docs, registry = _corpus()
-    corrections = corrections_entries()
-    fused = FusedExtractStage(registry, corrections)
-    ocr, kernel = OcrStage(registry), KernelStage(corrections)
+    fused = FusedExtractStage(registry, corrections_entries())
     batches = [docs.slice(i, BATCH) for i in range(0, docs.num_rows, BATCH)]
     got_fused = pa.concat_tables([fused(b) for b in batches])
-    got_two_pool = pa.concat_tables([kernel(ocr(b)) for b in batches])
     expected = _oracle(docs, registry)
 
     assert got_fused.equals(expected)
-    assert got_two_pool.equals(expected)
 
     errors = [d for d, e in zip(expected["doc_id"].to_pylist(), expected["error"].to_pylist()) if e]
     assert errors == ["poison-0", "poison-1", "poison-2", "poison-3", "hand-poison"]
